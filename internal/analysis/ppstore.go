@@ -14,7 +14,9 @@ import (
 // shape of contract and is checked the same way: chunks are put before
 // any artifact that references them is saved, and released only after
 // every referencing artifact is cleared. Store implementations are
-// recognized structurally: any type declaring a SaveManifest method.
+// recognized structurally: any type declaring a SaveManifest method. So are
+// blob backends, where the stock stores' writes actually happen: any Put
+// method handed a writer callback is held to the same temp+rename rule.
 var PPStore = &Analyzer{
 	Name: "ppstore",
 	Doc:  "pp.Store implementations and call sites must write atomically, commit manifests last, and GC (chains and chunks) only after the commit",
@@ -32,6 +34,9 @@ func runPPStore(pass *Pass) error {
 	})
 
 	forEachFuncBody(pass, func(fd *ast.FuncDecl) {
+		if fd.Name.Name == "Put" && funcRecvName(pass.TypesInfo, fd) != "" && takesCallback(fd) {
+			checkAtomicWrites(pass, fd)
+		}
 		if implTypes[funcRecvName(pass.TypesInfo, fd)] {
 			switch fd.Name.Name {
 			case "Save", "SaveDelta", "SaveManifest", "SaveShardDelta", "PutChunk":
@@ -44,6 +49,16 @@ func runPPStore(pass *Pass) error {
 		checkChunkOrdering(pass, fd, implTypes)
 	})
 	return nil
+}
+
+// takesCallback reports whether fd's last parameter is a function.
+func takesCallback(fd *ast.FuncDecl) bool {
+	params := fd.Type.Params.List
+	if len(params) == 0 {
+		return false
+	}
+	_, ok := params[len(params)-1].Type.(*ast.FuncType)
+	return ok
 }
 
 // checkAtomicWrites flags direct writes under a committed name inside a
@@ -169,7 +184,7 @@ func checkChunkOrdering(pass *Pass, fd *ast.FuncDecl, implTypes map[string]bool)
 			puts = append(puts, call.Pos())
 		case "ReleaseChunks":
 			releases = append(releases, call.Pos())
-		case "Save", "SaveShard", "SaveDelta", "SaveShardDelta":
+		case "Save", "SaveDelta", "SaveShardDelta":
 			saves = append(saves, call.Pos())
 		case "Clear", "ClearDeltas", "ClearShardDeltas":
 			clears = append(clears, call.Pos())

@@ -59,6 +59,18 @@ func (s *BadFS) PutChunk(key string, payload []byte) (bool, error) {
 	return false, os.WriteFile(filepath.Join(s.dir, "cas-"+key+".chunk"), payload, 0o644) // want "temp file and rename"
 }
 
+// badBlobs is a blob backend whose Put writes under the committed name.
+type badBlobs struct{ dir string }
+
+func (b badBlobs) Put(name string, write func(f *os.File) error) error {
+	f, err := os.Create(filepath.Join(b.dir, name)) // want "temp file and rename"
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return write(f)
+}
+
 // GoodFS follows the contracts: temp+rename saves, exact-name deletion.
 type GoodFS struct{ dir string }
 

@@ -24,12 +24,11 @@ func stores(t *testing.T) map[string]Store {
 	return map[string]Store{
 		"fs":         fsStore,
 		"mem":        NewMem(),
-		"gzip-mem":   NewGzip(NewMem(), 0),
+		"gzip-mem":   NewGzip(NewMem()),
 		"gzip-fs":    newGzipFS(t),
-		"gzip-fast":  NewGzip(NewMem(), 1),
 		"dedup-mem":  NewDedup(NewMem()),
 		"dedup-fs":   NewDedup(dedupFS),
-		"dedup-gzip": NewDedup(NewGzip(NewMem(), 0)),
+		"dedup-gzip": NewDedup(NewGzip(NewMem())),
 	}
 }
 
@@ -39,7 +38,7 @@ func newGzipFS(t *testing.T) Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewGzip(fsStore, 0)
+	return NewGzip(fsStore)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -70,8 +69,8 @@ func TestLoadMissing(t *testing.T) {
 			if _, found, err := s.Load("nothing"); err != nil || found {
 				t.Fatalf("found=%v err=%v for a snapshot that was never saved", found, err)
 			}
-			if _, found, err := s.LoadShard("nothing", 3); err != nil || found {
-				t.Fatalf("shard: found=%v err=%v for a shard that was never saved", found, err)
+			if _, found, err := s.LoadShardDelta("nothing", 3, 1); err != nil || found {
+				t.Fatalf("shard: found=%v err=%v for a shard link that was never saved", found, err)
 			}
 		})
 	}
@@ -81,19 +80,17 @@ func TestShards(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			for r := 0; r < 3; r++ {
-				snap := serial.NewSnapshot("app", "dist", 10)
-				snap.Fields["r"] = serial.Int64(int64(r))
-				if err := s.SaveShard(snap, r); err != nil {
+				if err := s.SaveShardDelta(anchorLink("app", r, 10, 1, []float64{float64(r)}), r); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for r := 0; r < 3; r++ {
-				got, found, err := s.LoadShard("app", r)
+				got, found, err := s.LoadShardDelta("app", r, 1)
 				if err != nil || !found {
 					t.Fatalf("shard %d: found=%v err=%v", r, found, err)
 				}
-				if got.Fields["r"].I != int64(r) {
-					t.Errorf("shard %d holds %d", r, got.Fields["r"].I)
+				if got.Full["x"].Fs[0] != float64(r) {
+					t.Errorf("shard %d holds %v", r, got.Full["x"].Fs)
 				}
 			}
 			// Canonical and shard namespaces are separate.
@@ -131,7 +128,7 @@ func TestClear(t *testing.T) {
 			if err := s.Save(snap); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SaveShard(snap, 0); err != nil {
+			if err := s.SaveShardDelta(anchorLink("app", 0, 1, 1, []float64{1}), 0); err != nil {
 				t.Fatal(err)
 			}
 			other := serial.NewSnapshot("other", "seq", 2)
@@ -144,8 +141,8 @@ func TestClear(t *testing.T) {
 			if _, found, _ := s.Load("app"); found {
 				t.Error("canonical snapshot survived Clear")
 			}
-			if _, found, _ := s.LoadShard("app", 0); found {
-				t.Error("shard survived Clear")
+			if _, found, _ := s.LoadShardDelta("app", 0, 1); found {
+				t.Error("shard link survived Clear")
 			}
 			if _, found, _ := s.Load("other"); !found {
 				t.Error("Clear removed another application's snapshot")
@@ -169,7 +166,7 @@ func TestLedgerLifecycle(t *testing.T) {
 	// shares the same store value.
 	mem := NewMem()
 	fresh["mem"] = func() Store { return mem }
-	gz := NewGzip(NewMem(), 0)
+	gz := NewGzip(NewMem())
 	fresh["gzip"] = func() Store { return gz }
 
 	for name, mk := range fresh {
@@ -243,7 +240,7 @@ func TestMemLoadDoesNotAliasSaver(t *testing.T) {
 
 func TestGzipActuallyCompresses(t *testing.T) {
 	inner := NewMem()
-	gz := NewGzip(inner, 0)
+	gz := NewGzip(inner)
 	snap := serial.NewSnapshot("app", "smp", 7)
 	// Highly compressible payload.
 	big := make([]float64, 1<<14)
@@ -287,7 +284,7 @@ func TestGzipPassesThroughUncompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Upgrading a store to compression must not invalidate old snapshots.
-	gz := NewGzip(inner, 0)
+	gz := NewGzip(inner)
 	got, found, err := gz.Load("app")
 	if err != nil || !found {
 		t.Fatalf("load: found=%v err=%v", found, err)
@@ -402,7 +399,7 @@ func TestClearIsolatesPrefixSharingApps(t *testing.T) {
 				if err := s.Save(snap); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.SaveShard(snap, 1); err != nil {
+				if err := s.SaveShardDelta(anchorLink(app, 1, 1, 1, []float64{1}), 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -412,15 +409,15 @@ func TestClearIsolatesPrefixSharingApps(t *testing.T) {
 			if _, found, _ := s.Load("sor"); found {
 				t.Error(`canonical "sor" snapshot survived Clear`)
 			}
-			if _, found, _ := s.LoadShard("sor", 1); found {
-				t.Error(`"sor" shard survived Clear`)
+			if _, found, _ := s.LoadShardDelta("sor", 1, 1); found {
+				t.Error(`"sor" shard link survived Clear`)
 			}
 			for _, app := range []string{"sor-large", "sor.r2x"} {
 				if _, found, _ := s.Load(app); !found {
 					t.Errorf("Clear(%q) deleted %q's canonical snapshot", "sor", app)
 				}
-				if _, found, _ := s.LoadShard(app, 1); !found {
-					t.Errorf("Clear(%q) deleted %q's shard", "sor", app)
+				if _, found, _ := s.LoadShardDelta(app, 1, 1); !found {
+					t.Errorf("Clear(%q) deleted %q's shard link", "sor", app)
 				}
 			}
 		})
@@ -437,40 +434,17 @@ func TestGzipCorruptEnvelopeReportsFound(t *testing.T) {
 	if err := inner.Save(env); err != nil {
 		t.Fatal(err)
 	}
-	if err := inner.SaveShard(env, 2); err != nil {
+	link := serial.NewDelta("app", gzipMode, 4, 4)
+	link.Seq = 1
+	link.Full[gzipField] = env.Fields[gzipField]
+	if err := inner.SaveShardDelta(link, 2); err != nil {
 		t.Fatal(err)
 	}
-	gz := NewGzip(inner, 0)
+	gz := NewGzip(inner)
 	if _, found, err := gz.Load("app"); !found || err == nil {
 		t.Fatalf("Load: found=%v err=%v, want found=true with error", found, err)
 	}
-	if _, found, err := gz.LoadShard("app", 2); !found || err == nil {
-		t.Fatalf("LoadShard: found=%v err=%v, want found=true with error", found, err)
-	}
-}
-
-// A write killed mid-flight leaves only a temp file; the previous, fully
-// persisted checkpoint must remain loadable — no torn state observable
-// through Load.
-func TestStaleTempFileDoesNotBreakLoad(t *testing.T) {
-	s, err := NewFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := serial.NewSnapshot("app", "seq", 6)
-	snap.Fields["x"] = serial.Float64(1)
-	if err := s.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash during the next save: a half-written temp file.
-	if err := os.WriteFile(filepath.Join(s.Dir, ".ckpt-123456"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, found, err := s.Load("app")
-	if err != nil || !found {
-		t.Fatalf("found=%v err=%v", found, err)
-	}
-	if got.SafePoints != 6 {
-		t.Fatalf("loaded snapshot at sp %d, want 6", got.SafePoints)
+	if _, found, err := gz.LoadShardDelta("app", 2, 1); !found || err == nil {
+		t.Fatalf("LoadShardDelta: found=%v err=%v, want found=true with error", found, err)
 	}
 }

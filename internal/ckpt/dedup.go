@@ -47,13 +47,16 @@ const (
 // Compose Dedup outermost (e.g. Dedup(Gzip(FS))): wrappers that envelope
 // the whole artifact would otherwise hide the float payloads from the
 // chunker.
+//
+// Everything that carries no float payload — the manifest (tiny, and it must
+// stay independently decodable), the ledger, and direct chunk calls from
+// composed chunk users — is the inner store's.
 type Dedup struct {
-	inner Store
+	Store
 
 	mu          sync.Mutex
 	base        map[string][]string              // app -> canonical base chunk keys
 	chain       map[string][][]string            // app -> per delta-link chunk keys
-	shards      map[shardKey][]string            // rank snapshot chunk keys
 	shardChains map[shardKey]map[uint64][]string // per shard-chain link chunk keys
 	stats       DedupStats
 }
@@ -68,10 +71,9 @@ var _ Store = (*Dedup)(nil)
 // NewDedup wraps inner with content-addressed deduplication.
 func NewDedup(inner Store) *Dedup {
 	return &Dedup{
-		inner:       inner,
+		Store:       inner,
 		base:        map[string][]string{},
 		chain:       map[string][][]string{},
-		shards:      map[shardKey][]string{},
 		shardChains: map[shardKey]map[uint64][]string{},
 	}
 }
@@ -140,7 +142,7 @@ func gridRows(cols int) int {
 // putChunk stores one packed payload and returns its key, accounting it.
 func (s *Dedup) putChunk(payload []byte) (string, error) {
 	key := serial.ChunkKey(payload)
-	dup, err := s.inner.PutChunk(key, payload)
+	dup, err := s.Store.PutChunk(key, payload)
 	if err != nil {
 		return "", err
 	}
@@ -162,7 +164,7 @@ func (s *Dedup) release(keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	return s.inner.ReleaseChunks(keys)
+	return s.Store.ReleaseChunks(keys)
 }
 
 // dehydrateSnap replaces every chunkable field of snap with a reference
@@ -316,7 +318,7 @@ func (s *Dedup) rehydrateField(name, blob string) (serial.Value, error) {
 }
 
 func (s *Dedup) chunkF64s(name, key string) ([]float64, error) {
-	payload, found, err := s.inner.GetChunk(key)
+	payload, found, err := s.Store.GetChunk(key)
 	if err != nil {
 		return nil, err
 	}
@@ -534,32 +536,13 @@ func (s *Dedup) Save(snap *serial.Snapshot) error {
 		s.release(keys)
 		return err
 	}
-	if err := s.inner.Save(env); err != nil {
+	if err := s.Store.Save(env); err != nil {
 		s.release(keys)
 		return err
 	}
 	s.mu.Lock()
 	old := s.base[snap.App]
 	s.base[snap.App] = keys
-	s.mu.Unlock()
-	return s.release(old)
-}
-
-// SaveShard dehydrates and stores one rank's snapshot.
-func (s *Dedup) SaveShard(snap *serial.Snapshot, rank int) error {
-	env, keys, err := s.dehydrateSnap(snap)
-	if err != nil {
-		s.release(keys)
-		return err
-	}
-	if err := s.inner.SaveShard(env, rank); err != nil {
-		s.release(keys)
-		return err
-	}
-	sk := shardKey{app: snap.App, rank: rank}
-	s.mu.Lock()
-	old := s.shards[sk]
-	s.shards[sk] = keys
 	s.mu.Unlock()
 	return s.release(old)
 }
@@ -572,7 +555,7 @@ func (s *Dedup) SaveDelta(d *serial.Delta) error {
 		s.release(keys)
 		return err
 	}
-	if err := s.inner.SaveDelta(env); err != nil {
+	if err := s.Store.SaveDelta(env); err != nil {
 		s.release(keys)
 		return err
 	}
@@ -592,7 +575,7 @@ func (s *Dedup) SaveShardDelta(d *serial.Delta, rank int) error {
 		s.release(keys)
 		return err
 	}
-	if err := s.inner.SaveShardDelta(env, rank); err != nil {
+	if err := s.Store.SaveShardDelta(env, rank); err != nil {
 		s.release(keys)
 		return err
 	}
@@ -613,71 +596,29 @@ func (s *Dedup) SaveShardDelta(d *serial.Delta, rank int) error {
 // chunks cannot be resolved reports found=true with the error, like any
 // other corruption.
 func (s *Dedup) Load(app string) (*serial.Snapshot, bool, error) {
-	env, found, err := s.inner.Load(app)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	snap, err := s.rehydrateSnap(env)
-	if err != nil {
-		return nil, true, err
-	}
-	return snap, true, nil
+	env, found, err := s.Store.Load(app)
+	return unwrapped(env, found, err, s.rehydrateSnap)
 }
 
 // LoadChain reads and rehydrates the canonical chain. A link whose chunks
 // cannot be resolved truncates the chain there, exactly like a torn write —
 // every shorter prefix is still a consistent checkpoint.
 func (s *Dedup) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	base, envs, found, err := s.inner.LoadChain(app)
-	if err != nil || !found {
-		return nil, nil, found, err
-	}
-	snap, err := s.rehydrateSnap(base)
-	if err != nil {
-		return nil, nil, true, err
-	}
-	var deltas []*serial.Delta
-	for _, env := range envs {
-		d, derr := s.rehydrateDelta(env)
-		if derr != nil {
-			break
-		}
-		deltas = append(deltas, d)
-	}
-	return snap, deltas, true, nil
-}
-
-// LoadShard reads and rehydrates one rank's snapshot.
-func (s *Dedup) LoadShard(app string, rank int) (*serial.Snapshot, bool, error) {
-	env, found, err := s.inner.LoadShard(app, rank)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	snap, err := s.rehydrateSnap(env)
-	if err != nil {
-		return nil, true, err
-	}
-	return snap, true, nil
+	base, envs, found, err := s.Store.LoadChain(app)
+	return unwrappedChain(base, envs, found, err, s.rehydrateSnap, s.rehydrateDelta)
 }
 
 // LoadShardDelta reads and rehydrates one shard-chain link; unresolvable
 // chunks report found=true with the error, like a torn link.
 func (s *Dedup) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	env, found, err := s.inner.LoadShardDelta(app, rank, seq)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	d, err := s.rehydrateDelta(env)
-	if err != nil {
-		return nil, true, err
-	}
-	return d, true, nil
+	env, found, err := s.Store.LoadShardDelta(app, rank, seq)
+	return unwrapped(env, found, err, s.rehydrateDelta)
 }
 
 // ClearShardDeltas clears the links first, then releases their chunk
 // references (clear-before-release).
 func (s *Dedup) ClearShardDeltas(app string, rank int, below uint64) error {
-	if err := s.inner.ClearShardDeltas(app, rank, below); err != nil {
+	if err := s.Store.ClearShardDeltas(app, rank, below); err != nil {
 		return err
 	}
 	sk := shardKey{app: app, rank: rank}
@@ -693,19 +634,10 @@ func (s *Dedup) ClearShardDeltas(app string, rank int, below uint64) error {
 	return s.release(dead)
 }
 
-// SaveManifest delegates: the commit record is tiny and must stay
-// independently decodable.
-func (s *Dedup) SaveManifest(m *serial.Manifest) error { return s.inner.SaveManifest(m) }
-
-// LoadManifest delegates to the inner store.
-func (s *Dedup) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	return s.inner.LoadManifest(app)
-}
-
 // Clear removes app's artifacts, then releases every reference the ledger
 // holds for them (clear-before-release).
 func (s *Dedup) Clear(app string) error {
-	if err := s.inner.Clear(app); err != nil {
+	if err := s.Store.Clear(app); err != nil {
 		return err
 	}
 	var dead []string
@@ -716,12 +648,6 @@ func (s *Dedup) Clear(app string) error {
 		dead = append(dead, keys...)
 	}
 	delete(s.chain, app)
-	for sk, keys := range s.shards {
-		if sk.app == app {
-			dead = append(dead, keys...)
-			delete(s.shards, sk)
-		}
-	}
 	for sk, m := range s.shardChains {
 		if sk.app == app {
 			for _, keys := range m {
@@ -737,7 +663,7 @@ func (s *Dedup) Clear(app string) error {
 // ClearDeltas clears the canonical chain first, then releases its chunk
 // references (clear-before-release).
 func (s *Dedup) ClearDeltas(app string) error {
-	if err := s.inner.ClearDeltas(app); err != nil {
+	if err := s.Store.ClearDeltas(app); err != nil {
 		return err
 	}
 	var dead []string
@@ -749,23 +675,3 @@ func (s *Dedup) ClearDeltas(app string) error {
 	s.mu.Unlock()
 	return s.release(dead)
 }
-
-// LedgerStart delegates to the inner store.
-func (s *Dedup) LedgerStart(app string) error { return s.inner.LedgerStart(app) }
-
-// LedgerFinish delegates to the inner store.
-func (s *Dedup) LedgerFinish(app string) error { return s.inner.LedgerFinish(app) }
-
-// Crashed delegates to the inner store.
-func (s *Dedup) Crashed(app string) (bool, error) { return s.inner.Crashed(app) }
-
-// PutChunk delegates to the inner store (for composed chunk users).
-func (s *Dedup) PutChunk(key string, payload []byte) (bool, error) {
-	return s.inner.PutChunk(key, payload)
-}
-
-// GetChunk delegates to the inner store.
-func (s *Dedup) GetChunk(key string) ([]byte, bool, error) { return s.inner.GetChunk(key) }
-
-// ReleaseChunks delegates to the inner store.
-func (s *Dedup) ReleaseChunks(keys []string) error { return s.inner.ReleaseChunks(keys) }

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"strings"
 	"testing"
 
 	"ppar/internal/serial"
@@ -57,9 +58,14 @@ func assertBigState(t *testing.T, got *serial.Snapshot, sp uint64, seed float64)
 
 // memChunkCount reports how many distinct chunks the backing Mem holds.
 func memChunkCount(m *Mem) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.chunks)
+	names, _ := m.b.List()
+	n := 0
+	for _, name := range names {
+		if strings.HasSuffix(name, ".chunk") {
+			n++
+		}
+	}
+	return n
 }
 
 func TestDedupRoundTripAndStats(t *testing.T) {
@@ -151,6 +157,58 @@ func TestDedupDeltaChainRoundTrip(t *testing.T) {
 	// matrix row group if untouched — assert only that stats moved.
 	if s.Stats().Chunks == 0 {
 		t.Fatal("no chunks accounted")
+	}
+}
+
+// A chunk read that fails under the base is a loud found=true error; under a
+// link it truncates the chain there. It never yields a half-rehydrated state,
+// and nothing is lost once the backend reads again.
+func TestDedupGetChunkFaultNeverHalfLoads(t *testing.T) {
+	fault := NewFault()
+	s := NewDedup(fault)
+	base := bigState("app", 10, 3)
+	h := serial.NewStateHash()
+	h.Rehash(base)
+	if err := s.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	next := base.Clone()
+	next.SafePoints = 12
+	next.Fields["Vec"].Fs[serial.DeltaChunkElems+5] = -1
+	d := h.Diff(next, base.SafePoints, false)
+	d.Seq = 1
+	if err := s.SaveDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.LoadChain("app"); err != nil {
+		t.Fatal(err)
+	}
+	reads := fault.Ops(OpGetChunk)
+	if reads < 2 {
+		t.Fatalf("a full chain load read %d chunks", reads)
+	}
+	var loud, truncated int
+	for n := 1; n <= reads; n++ {
+		fault.Arm(OpGetChunk, n)
+		snap, deltas, found, err := s.LoadChain("app")
+		fault.Disarm()
+		switch {
+		case !found:
+			t.Fatalf("read %d failed: the restart point vanished", n)
+		case err != nil:
+			loud++
+		case len(deltas) == 0:
+			truncated++
+			assertBigState(t, snap, 10, 3)
+		default:
+			t.Fatalf("read %d failed, yet the whole chain loaded", n)
+		}
+	}
+	if loud == 0 || truncated == 0 {
+		t.Fatalf("sweep hit the base %d times and the link %d times", loud, truncated)
+	}
+	if snap, found, err := LoadResume(s, "app"); err != nil || !found || snap.SafePoints != 12 {
+		t.Fatalf("resume after the sweep: found=%v err=%v", found, err)
 	}
 }
 

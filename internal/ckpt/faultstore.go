@@ -1,12 +1,8 @@
 package ckpt
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"sync"
-
-	"ppar/internal/serial"
 )
 
 // FaultOp names one Store operation class for fault injection.
@@ -16,12 +12,10 @@ type FaultOp int
 const (
 	OpSave FaultOp = iota
 	OpSaveDelta
-	OpSaveShard
 	OpSaveShardDelta
 	OpSaveManifest
 	OpLoad
 	OpLoadChain
-	OpLoadShard
 	OpLoadShardDelta
 	OpLoadManifest
 	OpClearDeltas
@@ -38,8 +32,6 @@ func (op FaultOp) String() string {
 		return "Save"
 	case OpSaveDelta:
 		return "SaveDelta"
-	case OpSaveShard:
-		return "SaveShard"
 	case OpSaveShardDelta:
 		return "SaveShardDelta"
 	case OpSaveManifest:
@@ -48,8 +40,6 @@ func (op FaultOp) String() string {
 		return "Load"
 	case OpLoadChain:
 		return "LoadChain"
-	case OpLoadShard:
-		return "LoadShard"
 	case OpLoadShardDelta:
 		return "LoadShardDelta"
 	case OpLoadManifest:
@@ -79,9 +69,9 @@ func (e *ErrInjectedFault) Error() string {
 	return fmt.Sprintf("ckpt: injected fault: %s call %d failed", e.Op, e.N)
 }
 
-// FaultStore is a Store for fault-injection tests: it keeps snapshots
-// in-memory in their encoded container form (so every load exercises the
-// real decode path) and can fail the Nth call of any operation class with
+// FaultStore is a Store for fault-injection tests: a Mem (so every load
+// exercises the real decode path) with the layout's fault hook wired. It
+// can fail the Nth call of any operation class with
 // an injected error, or simulate a TORN WRITE on the Nth save — the write
 // "succeeds" but persists only a truncated prefix of the container, the
 // way a crash mid-write without atomic rename would. Torn snapshots and
@@ -92,24 +82,20 @@ func (e *ErrInjectedFault) Error() string {
 // Counters are 1-based: Arm(OpSave, 2, ...) fails the second Save. A
 // FaultStore is safe for concurrent use, like any Store.
 type FaultStore struct {
-	mu        sync.Mutex
-	blobs     map[string][]byte
-	running   map[string]bool
-	chunks    map[string][]byte
-	chunkRefs map[string]int
-	counts    [numFaultOps]int
-	failAt    [numFaultOps]int
-	tearAt    [numFaultOps]int
+	Mem
+	mu     sync.Mutex
+	counts [numFaultOps]int
+	failAt [numFaultOps]int
+	tearAt [numFaultOps]int
 }
 
 var _ Store = (*FaultStore)(nil)
 
 // NewFault creates an empty FaultStore with no faults armed.
 func NewFault() *FaultStore {
-	return &FaultStore{
-		blobs: map[string][]byte{}, running: map[string]bool{},
-		chunks: map[string][]byte{}, chunkRefs: map[string]int{},
-	}
+	s := &FaultStore{Mem: Mem{m: newMemBlobs()}}
+	s.layout = layout{b: s.m, fault: s.step}
+	return s
 }
 
 // Arm makes the Nth call (1-based, counted from now) of op fail with an
@@ -151,292 +137,14 @@ func (s *FaultStore) Ops(op FaultOp) int {
 	return s.counts[op]
 }
 
-// step counts one call of op and reports whether it must fail or tear.
+// step is the layout's fault hook: it counts one call of op and reports
+// whether it must fail or tear.
 func (s *FaultStore) step(op FaultOp) (fail error, tear bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.counts[op]++
 	if s.failAt[op] == s.counts[op] {
 		return &ErrInjectedFault{Op: op, N: s.counts[op]}, false
 	}
 	return nil, s.tearAt[op] == s.counts[op]
-}
-
-func (s *FaultStore) putBlob(op FaultOp, key string, encode func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fail, tear := s.step(op)
-	if fail != nil {
-		return fail
-	}
-	blob := buf.Bytes()
-	if tear {
-		blob = blob[:len(blob)/2]
-	}
-	s.blobs[key] = blob
-	return nil
-}
-
-// Save stores the canonical snapshot (subject to OpSave faults).
-func (s *FaultStore) Save(snap *serial.Snapshot) error {
-	return s.putBlob(OpSave, memKey(snap.App, -1), snap.Encode)
-}
-
-// SaveShard stores one rank's snapshot (subject to OpSaveShard faults).
-func (s *FaultStore) SaveShard(snap *serial.Snapshot, rank int) error {
-	return s.putBlob(OpSaveShard, memKey(snap.App, rank), snap.Encode)
-}
-
-// SaveDelta appends one delta link (subject to OpSaveDelta faults).
-func (s *FaultStore) SaveDelta(d *serial.Delta) error {
-	if d.Seq == 0 {
-		return fmt.Errorf("ckpt: delta for %q has no chain sequence number", d.App)
-	}
-	return s.putBlob(OpSaveDelta, memDeltaKey(d.App, d.Seq), d.Encode)
-}
-
-// SaveShardDelta appends one shard-chain link (subject to OpSaveShardDelta
-// faults, including torn writes — the mid-write kill of one rank of a
-// multi-shard save that the manifest gate exists for).
-func (s *FaultStore) SaveShardDelta(d *serial.Delta, rank int) error {
-	if d.Seq == 0 {
-		return fmt.Errorf("ckpt: shard delta for %q has no chain sequence number", d.App)
-	}
-	return s.putBlob(OpSaveShardDelta, memShardDeltaKey(d.App, rank, d.Seq), d.Encode)
-}
-
-// SaveManifest replaces the commit record (subject to OpSaveManifest
-// faults; a torn manifest is the one artifact whose damage surfaces loudly
-// at restart, exactly like a torn canonical base — the stock FS store's
-// rename atomicity rules both out).
-func (s *FaultStore) SaveManifest(m *serial.Manifest) error {
-	return s.putBlob(OpSaveManifest, m.App+".manifest.ckpt", m.Encode)
-}
-
-// LoadShardDelta reads one shard-chain link (subject to OpLoadShardDelta
-// faults); a torn link reports found=true with the decode error.
-func (s *FaultStore) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	blob, ok, err := s.getBlob(OpLoadShardDelta, memShardDeltaKey(app, rank, seq))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	d, err := serial.DecodeDelta(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memShardDeltaKey(app, rank, seq), err)
-	}
-	return d, true, nil
-}
-
-// LoadManifest reads the commit record (subject to OpLoadManifest faults).
-func (s *FaultStore) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	blob, ok, err := s.getBlob(OpLoadManifest, app+".manifest.ckpt")
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	m, err := serial.DecodeManifest(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", app+".manifest.ckpt", err)
-	}
-	return m, true, nil
-}
-
-// ClearShardDeltas removes rank's chain links below the bound (subject to
-// OpClearShardDeltas faults — the post-commit GC window, where a crash must
-// only ever leave stale links the manifest no longer references).
-func (s *FaultStore) ClearShardDeltas(app string, rank int, below uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpClearShardDeltas); fail != nil {
-		return fail
-	}
-	for k := range s.blobs {
-		if seq, ok := shardChainSeq(k, app, rank); ok && (below == 0 || seq < below) {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-func (s *FaultStore) getBlob(op FaultOp, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(op); fail != nil {
-		return nil, false, fail
-	}
-	blob, ok := s.blobs[key]
-	return blob, ok, nil
-}
-
-// Load reads the canonical snapshot (subject to OpLoad faults). A torn
-// snapshot reports found=true with the decode error, matching FS.
-func (s *FaultStore) Load(app string) (*serial.Snapshot, bool, error) {
-	blob, ok, err := s.getBlob(OpLoad, memKey(app, -1))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	snap, err := serial.Decode(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, -1), err)
-	}
-	return snap, true, nil
-}
-
-// LoadShard reads rank's snapshot (subject to OpLoadShard faults).
-func (s *FaultStore) LoadShard(app string, rank int) (*serial.Snapshot, bool, error) {
-	blob, ok, err := s.getBlob(OpLoadShard, memKey(app, rank))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	snap, err := serial.Decode(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, rank), err)
-	}
-	return snap, true, nil
-}
-
-// LoadChain reads the canonical snapshot plus the longest consistent
-// prefix of its delta chain (subject to OpLoadChain faults); torn links
-// truncate the chain exactly as they do in the stock stores.
-func (s *FaultStore) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	s.mu.Lock()
-	fail, _ := s.step(OpLoadChain)
-	baseBlob, ok := s.blobs[memKey(app, -1)]
-	s.mu.Unlock()
-	if fail != nil {
-		return nil, nil, false, fail
-	}
-	if !ok {
-		return nil, nil, false, nil
-	}
-	base, err := serial.Decode(bytes.NewReader(baseBlob))
-	if err != nil {
-		return nil, nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, -1), err)
-	}
-	var deltas []*serial.Delta
-	for seq := uint64(1); ; seq++ {
-		s.mu.Lock()
-		blob, ok := s.blobs[memDeltaKey(app, seq)]
-		s.mu.Unlock()
-		if !ok {
-			break
-		}
-		d, derr := serial.DecodeDelta(bytes.NewReader(blob))
-		if derr != nil || !chainLink(base, d, seq) {
-			break
-		}
-		deltas = append(deltas, d)
-	}
-	return base, deltas, true, nil
-}
-
-// Clear removes all snapshots for app (never faulted: tests use it for
-// setup, not as part of the exercised path).
-func (s *FaultStore) Clear(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.blobs {
-		if ownedName(k, app) {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-// ClearDeltas removes app's delta chain (subject to OpClearDeltas faults —
-// a compaction that persists its new base and then fails to GC the old
-// chain is exactly the crash window LoadChain's staleness rules cover).
-func (s *FaultStore) ClearDeltas(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpClearDeltas); fail != nil {
-		return fail
-	}
-	for k := range s.blobs {
-		if isSeqFile(k, app, 'd') {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-// PutChunk stores (or refcounts) one content-addressed chunk, subject to
-// OpPutChunk faults — the put-before-link window: a failed put must abort
-// the save before any artifact references the missing chunk. A torn put
-// persists only half the payload, the way a crash mid-chunk-write without
-// atomic rename would.
-func (s *FaultStore) PutChunk(key string, payload []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fail, tear := s.step(OpPutChunk)
-	if fail != nil {
-		return false, fail
-	}
-	if _, ok := s.chunks[key]; ok {
-		s.chunkRefs[key]++
-		return true, nil
-	}
-	blob := append([]byte(nil), payload...)
-	if tear {
-		blob = blob[:len(blob)/2]
-	}
-	s.chunks[key] = blob
-	s.chunkRefs[key] = 1
-	return false, nil
-}
-
-// GetChunk reads one chunk payload (subject to OpGetChunk faults).
-func (s *FaultStore) GetChunk(key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpGetChunk); fail != nil {
-		return nil, false, fail
-	}
-	b, ok := s.chunks[key]
-	return b, ok, nil
-}
-
-// ReleaseChunks drops references (subject to OpReleaseChunks faults — the
-// clear-before-release GC window, where a crash must only ever leak chunks,
-// never dangle a reference).
-func (s *FaultStore) ReleaseChunks(keys []string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpReleaseChunks); fail != nil {
-		return fail
-	}
-	for _, key := range keys {
-		if _, ok := s.chunks[key]; !ok {
-			continue
-		}
-		if s.chunkRefs[key]--; s.chunkRefs[key] <= 0 {
-			delete(s.chunks, key)
-			delete(s.chunkRefs, key)
-		}
-	}
-	return nil
-}
-
-// LedgerStart marks the run as in progress.
-func (s *FaultStore) LedgerStart(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running[app] = true
-	return nil
-}
-
-// LedgerFinish marks the run as cleanly completed.
-func (s *FaultStore) LedgerFinish(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.running, app)
-	return nil
-}
-
-// Crashed reports whether a run was started and never finished.
-func (s *FaultStore) Crashed(app string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running[app], nil
 }

@@ -27,8 +27,16 @@ const NamespaceSep = "~"
 // The snapshot/delta/manifest App fields are rewritten on shallow copies,
 // never in place, so a caller's artifact (possibly shared with an
 // asynchronous writer) is not mutated by saving it through the wrapper.
+//
+// Chunk keys pass through UNPREFIXED — by design: a chunk is immutable
+// content named by its own digest, so two tenants checkpointing identical
+// state share one stored copy. Isolation is preserved by the reference
+// counts: a tenant's artifacts only ever release the references they took,
+// so one tenant clearing its checkpoints can never free a chunk another
+// tenant still references. (Clear itself never touches chunks; only
+// ReleaseChunks does.)
 type Namespaced struct {
-	inner  Store
+	Store
 	prefix string // includes the trailing separator
 }
 
@@ -44,7 +52,7 @@ func NewNamespaced(prefix string, inner Store) (*Namespaced, error) {
 	if strings.Contains(prefix, NamespaceSep) {
 		return nil, fmt.Errorf("ckpt: namespace prefix %q contains the separator %q", prefix, NamespaceSep)
 	}
-	return &Namespaced{inner: inner, prefix: prefix + NamespaceSep}, nil
+	return &Namespaced{Store: inner, prefix: prefix + NamespaceSep}, nil
 }
 
 func (s *Namespaced) key(app string) string { return s.prefix + app }
@@ -81,28 +89,23 @@ func (s *Namespaced) unwrapDelta(d *serial.Delta) *serial.Delta {
 
 // Save implements Store.
 func (s *Namespaced) Save(snap *serial.Snapshot) error {
-	return s.inner.Save(s.wrapSnap(snap))
-}
-
-// SaveShard implements Store.
-func (s *Namespaced) SaveShard(snap *serial.Snapshot, rank int) error {
-	return s.inner.SaveShard(s.wrapSnap(snap), rank)
+	return s.Store.Save(s.wrapSnap(snap))
 }
 
 // SaveDelta implements Store.
 func (s *Namespaced) SaveDelta(d *serial.Delta) error {
-	return s.inner.SaveDelta(s.wrapDelta(d))
+	return s.Store.SaveDelta(s.wrapDelta(d))
 }
 
 // Load implements Store.
 func (s *Namespaced) Load(app string) (*serial.Snapshot, bool, error) {
-	snap, found, err := s.inner.Load(s.key(app))
+	snap, found, err := s.Store.Load(s.key(app))
 	return s.unwrapSnap(snap), found, err
 }
 
 // LoadChain implements Store.
 func (s *Namespaced) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	base, deltas, found, err := s.inner.LoadChain(s.key(app))
+	base, deltas, found, err := s.Store.LoadChain(s.key(app))
 	out := deltas
 	if len(deltas) > 0 {
 		out = make([]*serial.Delta, len(deltas))
@@ -113,38 +116,32 @@ func (s *Namespaced) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, b
 	return s.unwrapSnap(base), out, found, err
 }
 
-// LoadShard implements Store.
-func (s *Namespaced) LoadShard(app string, rank int) (*serial.Snapshot, bool, error) {
-	snap, found, err := s.inner.LoadShard(s.key(app), rank)
-	return s.unwrapSnap(snap), found, err
-}
-
 // SaveShardDelta implements Store.
 func (s *Namespaced) SaveShardDelta(d *serial.Delta, rank int) error {
-	return s.inner.SaveShardDelta(s.wrapDelta(d), rank)
+	return s.Store.SaveShardDelta(s.wrapDelta(d), rank)
 }
 
 // LoadShardDelta implements Store.
 func (s *Namespaced) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	d, found, err := s.inner.LoadShardDelta(s.key(app), rank, seq)
+	d, found, err := s.Store.LoadShardDelta(s.key(app), rank, seq)
 	return s.unwrapDelta(d), found, err
 }
 
 // ClearShardDeltas implements Store.
 func (s *Namespaced) ClearShardDeltas(app string, rank int, below uint64) error {
-	return s.inner.ClearShardDeltas(s.key(app), rank, below)
+	return s.Store.ClearShardDeltas(s.key(app), rank, below)
 }
 
 // SaveManifest implements Store.
 func (s *Namespaced) SaveManifest(m *serial.Manifest) error {
 	c := *m
 	c.App = s.key(m.App)
-	return s.inner.SaveManifest(&c)
+	return s.Store.SaveManifest(&c)
 }
 
 // LoadManifest implements Store.
 func (s *Namespaced) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	m, found, err := s.inner.LoadManifest(s.key(app))
+	m, found, err := s.Store.LoadManifest(s.key(app))
 	if m != nil {
 		c := *m
 		c.App = strings.TrimPrefix(m.App, s.prefix)
@@ -154,33 +151,16 @@ func (s *Namespaced) LoadManifest(app string) (*serial.Manifest, bool, error) {
 }
 
 // Clear implements Store.
-func (s *Namespaced) Clear(app string) error { return s.inner.Clear(s.key(app)) }
+func (s *Namespaced) Clear(app string) error { return s.Store.Clear(s.key(app)) }
 
 // ClearDeltas implements Store.
-func (s *Namespaced) ClearDeltas(app string) error { return s.inner.ClearDeltas(s.key(app)) }
+func (s *Namespaced) ClearDeltas(app string) error { return s.Store.ClearDeltas(s.key(app)) }
 
 // LedgerStart implements Store.
-func (s *Namespaced) LedgerStart(app string) error { return s.inner.LedgerStart(s.key(app)) }
+func (s *Namespaced) LedgerStart(app string) error { return s.Store.LedgerStart(s.key(app)) }
 
 // LedgerFinish implements Store.
-func (s *Namespaced) LedgerFinish(app string) error { return s.inner.LedgerFinish(s.key(app)) }
+func (s *Namespaced) LedgerFinish(app string) error { return s.Store.LedgerFinish(s.key(app)) }
 
 // Crashed implements Store.
-func (s *Namespaced) Crashed(app string) (bool, error) { return s.inner.Crashed(s.key(app)) }
-
-// PutChunk implements Store. Chunk keys pass through UNPREFIXED — by
-// design: a chunk is immutable content named by its own digest, so two
-// tenants checkpointing identical state share one stored copy. Isolation
-// is preserved by the reference counts: a tenant's artifacts only ever
-// release the references they took, so one tenant clearing its checkpoints
-// can never free a chunk another tenant still references. (Clear itself
-// never touches chunks; only ReleaseChunks does.)
-func (s *Namespaced) PutChunk(key string, payload []byte) (bool, error) {
-	return s.inner.PutChunk(key, payload)
-}
-
-// GetChunk implements Store (unprefixed; see PutChunk).
-func (s *Namespaced) GetChunk(key string) ([]byte, bool, error) { return s.inner.GetChunk(key) }
-
-// ReleaseChunks implements Store (unprefixed; see PutChunk).
-func (s *Namespaced) ReleaseChunks(keys []string) error { return s.inner.ReleaseChunks(keys) }
+func (s *Namespaced) Crashed(app string) (bool, error) { return s.Store.Crashed(s.key(app)) }

@@ -119,11 +119,6 @@ func TestNamespacedShardsAndManifest(t *testing.T) {
 	for name, ns := range nsStores(t) {
 		t.Run(name, func(t *testing.T) {
 			for r := 0; r < 2; r++ {
-				snap := serial.NewSnapshot("app", "dist", 4)
-				snap.Fields["r"] = serial.Int64(int64(r))
-				if err := ns.t1.SaveShard(snap, r); err != nil {
-					t.Fatal(err)
-				}
 				d := serial.NewDelta("app", "dist", 4, 0)
 				d.Seq = 1
 				d.Full["r"] = serial.Int64(int64(r))
@@ -145,9 +140,6 @@ func TestNamespacedShardsAndManifest(t *testing.T) {
 			}
 			if got.App != "app" || got.World() != 2 {
 				t.Fatalf("manifest came back as app=%q world=%d", got.App, got.World())
-			}
-			if shard, found, _ := ns.t1.LoadShard("app", 1); !found || shard.App != "app" {
-				t.Fatalf("shard: found=%v", found)
 			}
 			if d, found, _ := ns.t1.LoadShardDelta("app", 0, 1); !found || d.App != "app" {
 				t.Fatalf("shard delta: found=%v", found)
@@ -176,7 +168,7 @@ func TestNamespacedClearIsolation(t *testing.T) {
 				if err := s.Save(snap); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.SaveShard(snap, 0); err != nil {
+				if err := s.SaveShardDelta(anchorLink("app", 0, 3, 1, []float64{1}), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -186,8 +178,11 @@ func TestNamespacedClearIsolation(t *testing.T) {
 			if _, found, _ := ns.t1.Load("app"); found {
 				t.Error("snapshot survived Clear in its own namespace")
 			}
-			if _, found, _ := ns.t1.LoadShard("app", 0); found {
-				t.Error("shard survived Clear in its own namespace")
+			if _, found, _ := ns.t1.LoadShardDelta("app", 0, 1); found {
+				t.Error("shard link survived Clear in its own namespace")
+			}
+			if _, found, _ := ns.t10.LoadShardDelta("app", 0, 1); !found {
+				t.Error("Clear(\"t1\") removed the \"t10\" namespace's shard link")
 			}
 			if _, found, _ := ns.t10.Load("app"); !found {
 				t.Error("Clear(\"t1\") removed the \"t10\" namespace's snapshot")

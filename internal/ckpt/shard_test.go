@@ -17,7 +17,7 @@ func shardStores(t *testing.T) map[string]Store {
 	return map[string]Store{
 		"fs":    fs,
 		"mem":   NewMem(),
-		"gzip":  NewGzip(NewMem(), 0),
+		"gzip":  NewGzip(NewMem()),
 		"fault": NewFault(),
 	}
 }

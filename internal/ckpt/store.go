@@ -1,10 +1,21 @@
 // Package ckpt implements the checkpoint machinery of §IV.A: pluggable
-// snapshot stores (filesystem, in-memory, and a gzip-compressing wrapper),
-// the run ledger (the paper's pcr module, which "verifies if the last
-// execution was concluded without failures" by rewriting main), the
-// checkpoint policy ("a checkpoint might be taken only after a set of safe
-// points"), and the replay state machine used for restart and for
+// snapshot stores, the run ledger (the paper's pcr module, which "verifies
+// if the last execution was concluded without failures" by rewriting main),
+// the checkpoint policy ("a checkpoint might be taken only after a set of
+// safe points"), and the replay state machine used for restart and for
 // bootstrapping new threads/processes during run-time adaptation.
+//
+// Storage has two seams. The typed Store interface is what the engine and
+// the wrappers (Gzip, Dedup, Namespaced) speak: snapshots, chain links,
+// manifests, chunks and the ledger, each with its crash-ordering contract.
+// Beneath it, the unexported blobs interface is what a backend provides:
+// four methods over named byte blobs — atomic durable Put, Open, Delete,
+// List. The layout type implements all of Store over any blobs, once:
+// artifact naming, chain truncation, exact-name Clear, the ledger marker
+// and chunk reference counting live there and nowhere else. FS is layout
+// over a directory, Mem layout over a map, FaultStore layout over a map
+// with a fault hook; a new backend (mmap, object store, remote) is those
+// four methods and a constructor.
 package ckpt
 
 import (
@@ -23,19 +34,16 @@ import (
 	"ppar/internal/serial"
 )
 
-// Store is a pluggable checkpoint backend: it persists canonical and
-// per-rank shard snapshots and keeps the crash ledger that decides whether
-// the next run must replay. Implementations must be safe for concurrent use
-// by multiple ranks (SaveShard/LoadShard are called from every replica of a
+// Store is a pluggable checkpoint backend: it persists the canonical
+// snapshot, its delta chain and the per-rank shard chains, and keeps the
+// crash ledger that decides whether the next run must replay.
+// Implementations must be safe for concurrent use by multiple ranks
+// (SaveShardDelta/LoadShardDelta are called from every replica of a
 // distributed run).
 type Store interface {
 	// Save atomically writes the canonical (whole-application) snapshot,
 	// replacing any previous one for the same application.
 	Save(snap *serial.Snapshot) error
-	// SaveShard atomically writes one rank's local snapshot (the paper's
-	// first distributed-memory alternative, where "each process takes a
-	// local snapshot").
-	SaveShard(snap *serial.Snapshot, rank int) error
 	// SaveDelta atomically appends one incremental checkpoint to the
 	// canonical delta chain. The caller assigns Seq contiguously from 1
 	// after each full Save; a crash mid-write must never damage earlier
@@ -54,8 +62,6 @@ type Store interface {
 	// always safe. found and err describe the base snapshot exactly as in
 	// Load.
 	LoadChain(app string) (base *serial.Snapshot, deltas []*serial.Delta, found bool, err error)
-	// LoadShard reads rank's local snapshot.
-	LoadShard(app string, rank int) (snap *serial.Snapshot, found bool, err error)
 
 	// SaveShardDelta atomically appends one link to rank's shard chain
 	// (app.rN.dM.ckpt for chain position M = d.Seq). Shard chains are
@@ -84,8 +90,8 @@ type Store interface {
 	// (found=false means no sharded restart point exists).
 	LoadManifest(app string) (*serial.Manifest, bool, error)
 
-	// Clear removes all snapshots (canonical, deltas, shards, shard chains
-	// and the manifest) for app.
+	// Clear removes all snapshots (canonical, deltas, shard chains and the
+	// manifest) for app.
 	Clear(app string) error
 	// ClearDeltas removes only the delta chain for app — compaction's
 	// garbage collection, called after a new full snapshot has been
@@ -123,18 +129,11 @@ type Store interface {
 	Crashed(app string) (bool, error)
 }
 
-// FS is the filesystem Store: one file per snapshot inside Dir, with
-// write-to-temp-then-rename atomicity so a failure during checkpointing
-// never destroys the previous valid checkpoint. The ledger is a marker
-// file created at LedgerStart and removed at LedgerFinish.
+// FS is the filesystem Store: the checkpoint layout over one file per blob
+// inside Dir.
 type FS struct {
 	Dir string
-
-	// casMu serialises the read-modify-write of chunk reference counts.
-	// Chunk bookkeeping assumes one *FS value per directory per process,
-	// the same single-writer discipline every other artifact already
-	// relies on.
-	casMu sync.Mutex
+	layout
 }
 
 var _ Store = (*FS)(nil)
@@ -144,61 +143,28 @@ func NewFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: creating store dir: %w", err)
 	}
-	return &FS{Dir: dir}, nil
+	return &FS{Dir: dir, layout: layout{b: dirBlobs(dir)}}, nil
 }
 
-func (s *FS) path(app string, shard int) string {
-	if shard < 0 {
-		return filepath.Join(s.Dir, app+".ckpt")
-	}
-	return filepath.Join(s.Dir, fmt.Sprintf("%s.r%d.ckpt", app, shard))
-}
+// dirBlobs keeps each blob in the file of the same name in one directory.
+type dirBlobs string
 
-func (s *FS) deltaPath(app string, seq uint64) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s.d%d.ckpt", app, seq))
-}
+// tempPrefix starts the name of every file a Put is still writing (or died
+// writing); List hides them.
+const tempPrefix = ".ckpt-"
 
-func (s *FS) shardDeltaPath(app string, rank int, seq uint64) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s.r%d.d%d.ckpt", app, rank, seq))
-}
-
-func (s *FS) manifestPath(app string) string {
-	return filepath.Join(s.Dir, app+".manifest.ckpt")
-}
-
-// Save atomically writes a canonical (whole-application) snapshot.
-func (s *FS) Save(snap *serial.Snapshot) error {
-	return s.save(snap, -1)
-}
-
-// SaveShard atomically writes one rank's local snapshot.
-func (s *FS) SaveShard(snap *serial.Snapshot, rank int) error {
-	return s.save(snap, rank)
-}
-
-func (s *FS) save(snap *serial.Snapshot, shard int) error {
-	return s.writeAtomic(s.path(snap.App, shard), snap.Encode)
-}
-
-// SaveDelta atomically appends one delta checkpoint (app.dN.ckpt for chain
-// position N) with the same temp-then-rename-then-dirsync discipline as
-// full snapshots, so a torn write leaves either a complete link or none.
-func (s *FS) SaveDelta(d *serial.Delta) error {
-	if d.Seq == 0 {
-		return fmt.Errorf("ckpt: delta for %q has no chain sequence number", d.App)
-	}
-	return s.writeAtomic(s.deltaPath(d.App, d.Seq), d.Encode)
-}
-
-func (s *FS) writeAtomic(final string, encode func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(s.Dir, ".ckpt-*")
+// Put streams into a temp file, fsyncs it, renames it over the final name
+// and fsyncs the directory, so a failure during checkpointing never destroys
+// the previous valid checkpoint.
+func (dir dirBlobs) Put(name string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(string(dir), tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("ckpt: temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := encode(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("ckpt: encoding snapshot: %w", err)
+		return fmt.Errorf("ckpt: writing %s: %w", name, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -207,13 +173,13 @@ func (s *FS) writeAtomic(final string, encode func(io.Writer) error) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("ckpt: close: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(string(dir), name)); err != nil {
 		return fmt.Errorf("ckpt: rename: %w", err)
 	}
 	// The rename is only durable once the directory entry itself is on
 	// disk: without the parent fsync a power failure can lose the
 	// just-renamed checkpoint even though the data blocks were synced.
-	if err := syncDir(s.Dir); err != nil {
+	if err := syncDir(string(dir)); err != nil {
 		return fmt.Errorf("ckpt: sync dir: %w", err)
 	}
 	return nil
@@ -236,649 +202,109 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Load reads the canonical snapshot for app.
-func (s *FS) Load(app string) (snap *serial.Snapshot, found bool, err error) {
-	return s.load(app, -1)
+func (dir dirBlobs) Open(name string) (io.ReadCloser, error) {
+	return os.Open(filepath.Join(string(dir), name))
 }
 
-// LoadChain reads the canonical snapshot plus the longest consistent
-// prefix of its delta chain (see Store.LoadChain for the truncation rules).
-func (s *FS) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	base, found, err := s.load(app, -1)
-	if err != nil || !found {
-		return nil, nil, found, err
-	}
-	var deltas []*serial.Delta
-	for seq := uint64(1); ; seq++ {
-		f, err := os.Open(s.deltaPath(app, seq))
-		if errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		if err != nil {
-			break // unreadable link ends the (still consistent) prefix
-		}
-		d, derr := serial.DecodeDelta(f)
-		f.Close()
-		if derr != nil || !chainLink(base, d, seq) {
-			break
-		}
-		deltas = append(deltas, d)
-	}
-	return base, deltas, true, nil
-}
-
-// chainLink reports whether d is the valid next link of base's chain: the
-// right application, anchored at this base (not a stale pre-compaction
-// delta), in the expected position.
-func chainLink(base *serial.Snapshot, d *serial.Delta, seq uint64) bool {
-	return d.App == base.App && d.BaseSP == base.SafePoints && d.Seq == seq
-}
-
-// LoadShard reads rank's local snapshot.
-func (s *FS) LoadShard(app string, rank int) (snap *serial.Snapshot, found bool, err error) {
-	return s.load(app, rank)
-}
-
-// SaveShardDelta atomically appends one link to rank's shard chain with the
-// same temp-then-rename-then-dirsync discipline as every other artifact.
-func (s *FS) SaveShardDelta(d *serial.Delta, rank int) error {
-	if d.Seq == 0 {
-		return fmt.Errorf("ckpt: shard delta for %q has no chain sequence number", d.App)
-	}
-	return s.writeAtomic(s.shardDeltaPath(d.App, rank, d.Seq), d.Encode)
-}
-
-// LoadShardDelta reads one link of rank's shard chain.
-func (s *FS) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	f, err := os.Open(s.shardDeltaPath(app, rank, seq))
+func (dir dirBlobs) Delete(name string) error {
+	err := os.Remove(filepath.Join(string(dir), name))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, nil
+		return nil
 	}
+	return err
+}
+
+func (dir dirBlobs) List() ([]string, error) {
+	entries, err := os.ReadDir(string(dir))
 	if err != nil {
-		return nil, false, fmt.Errorf("ckpt: open: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	d, err := serial.DecodeDelta(f)
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", s.shardDeltaPath(app, rank, seq), err)
-	}
-	return d, true, nil
-}
-
-// ClearShardDeltas removes rank's chain links below the given sequence
-// number (0 removes all of them).
-func (s *FS) ClearShardDeltas(app string, rank int, below uint64) error {
-	return s.clearMatching(func(name string) bool {
-		seq, ok := shardChainSeq(name, app, rank)
-		return ok && (below == 0 || seq < below)
-	})
-}
-
-// SaveManifest atomically replaces the shard-checkpoint commit record.
-func (s *FS) SaveManifest(m *serial.Manifest) error {
-	return s.writeAtomic(s.manifestPath(m.App), m.Encode)
-}
-
-// LoadManifest reads the shard-checkpoint commit record. A manifest that
-// exists but is damaged reports found=true with the decode error, so
-// callers can distinguish "no sharded restart point" from "commit record
-// corrupt".
-func (s *FS) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	f, err := os.Open(s.manifestPath(app))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("ckpt: open: %w", err)
-	}
-	defer f.Close()
-	m, err := serial.DecodeManifest(f)
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", s.manifestPath(app), err)
-	}
-	return m, true, nil
-}
-
-func (s *FS) load(app string, shard int) (*serial.Snapshot, bool, error) {
-	f, err := os.Open(s.path(app, shard))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("ckpt: open: %w", err)
-	}
-	defer f.Close()
-	snap, err := serial.Decode(f)
-	if err != nil {
-		// The snapshot exists but is damaged: found=true, so callers can
-		// distinguish "no restart point" from "restart point corrupt".
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", s.path(app, shard), err)
-	}
-	return snap, true, nil
-}
-
-// Clear removes all snapshots (canonical, deltas, shards, shard chains and
-// the manifest) for app. Only the exact app.ckpt / app.rN.ckpt /
-// app.dN.ckpt / app.rN.dM.ckpt / app.manifest.ckpt names are matched: a
-// prefix glob would also delete checkpoints of any application whose name
-// merely starts with app (clearing "sor" must not wipe "sor-large").
-func (s *FS) Clear(app string) error {
-	return s.clearMatching(func(name string) bool { return ownedName(name, app) })
-}
-
-// ownedName reports whether name is one of app's checkpoint artifacts.
-func ownedName(name, app string) bool {
-	return name == app+".ckpt" || name == app+".manifest.ckpt" ||
-		isSeqFile(name, app, 'r') || isSeqFile(name, app, 'd') ||
-		isShardChainFile(name, app)
-}
-
-// ClearDeltas removes only the app.dN.ckpt delta chain.
-func (s *FS) ClearDeltas(app string) error {
-	return s.clearMatching(func(name string) bool { return isSeqFile(name, app, 'd') })
-}
-
-func (s *FS) clearMatching(match func(string) bool) error {
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return fmt.Errorf("ckpt: clear: %w", err)
-	}
+	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !match(e.Name()) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.Dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("ckpt: clear: %w", err)
+		if !strings.HasPrefix(e.Name(), tempPrefix) {
+			names = append(names, e.Name())
 		}
 	}
-	return nil
+	return names, nil
 }
 
-// isSeqFile reports whether name is exactly app.<kind>N.ckpt for a decimal
-// N — the shard ('r') and delta ('d') naming schemes.
-func isSeqFile(name, app string, kind byte) bool {
-	rest, ok := strings.CutPrefix(name, app+"."+string(kind))
-	if !ok {
-		return false
-	}
-	digits, ok := strings.CutSuffix(rest, ".ckpt")
-	return ok && allDigits(digits)
-}
-
-// isShardChainFile reports whether name is exactly app.rN.dM.ckpt for
-// decimal N and M — a link of any rank's shard chain.
-func isShardChainFile(name, app string) bool {
-	rest, ok := strings.CutPrefix(name, app+".r")
-	if !ok {
-		return false
-	}
-	rank, rest, ok := strings.Cut(rest, ".d")
-	if !ok || !allDigits(rank) {
-		return false
-	}
-	digits, ok := strings.CutSuffix(rest, ".ckpt")
-	return ok && allDigits(digits)
-}
-
-// shardChainSeq parses name as a link of ONE rank's chain, returning its
-// sequence number.
-func shardChainSeq(name, app string, rank int) (uint64, bool) {
-	rest, ok := strings.CutPrefix(name, fmt.Sprintf("%s.r%d.d", app, rank))
-	if !ok {
-		return 0, false
-	}
-	digits, ok := strings.CutSuffix(rest, ".ckpt")
-	if !ok || !allDigits(digits) {
-		return 0, false
-	}
-	var seq uint64
-	for _, c := range digits {
-		seq = seq*10 + uint64(c-'0')
-	}
-	return seq, true
-}
-
-func allDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *FS) ledgerPath(app string) string { return filepath.Join(s.Dir, app+".run") }
-
-// LedgerStart marks the run as in progress.
-func (s *FS) LedgerStart(app string) error {
-	f, err := os.OpenFile(s.ledgerPath(app), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ckpt: ledger start: %w", err)
-	}
-	_, werr := f.WriteString("running\n")
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("ckpt: ledger write: %w", werr)
-	}
-	return cerr
-}
-
-// LedgerFinish marks the run as cleanly completed; it is idempotent.
-func (s *FS) LedgerFinish(app string) error {
-	if err := os.Remove(s.ledgerPath(app)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("ckpt: ledger finish: %w", err)
-	}
-	return nil
-}
-
-// Crashed reports whether the previous execution failed to conclude.
-func (s *FS) Crashed(app string) (bool, error) {
-	_, err := os.Stat(s.ledgerPath(app))
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	return false, fmt.Errorf("ckpt: ledger stat: %w", err)
-}
-
-// Chunk files live beside the checkpoint artifacts as cas-<key>.chunk with
-// a cas-<key>.ref sidecar holding the decimal reference count. Neither name
-// ends in ".ckpt", so Clear and the exact-name matchers never touch them:
-// chunks are shared across applications (and tenants) and are reclaimed
-// only by explicit ReleaseChunks calls from the layer that tracks the
-// references.
-func (s *FS) chunkPath(key string) string {
-	return filepath.Join(s.Dir, "cas-"+key+".chunk")
-}
-
-func (s *FS) refPath(key string) string {
-	return filepath.Join(s.Dir, "cas-"+key+".ref")
-}
-
-func (s *FS) readRef(key string) (int64, bool, error) {
-	b, err := os.ReadFile(s.refPath(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("ckpt: chunk ref: %w", err)
-	}
-	var n int64
-	if _, err := fmt.Sscanf(string(b), "%d", &n); err != nil || n < 1 {
-		return 0, false, fmt.Errorf("ckpt: chunk ref %s is corrupt", s.refPath(key))
-	}
-	return n, true, nil
-}
-
-func (s *FS) writeRef(key string, n int64) error {
-	return s.writeAtomic(s.refPath(key), func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%d\n", n)
-		return err
-	})
-}
-
-// PutChunk stores one content-addressed chunk, or bumps its reference
-// count if the content is already present. The payload file is written
-// before the reference sidecar; a crash in between leaves a chunk that a
-// later put of the same content simply rewrites (content-addressed writes
-// are idempotent), never a reference without data.
-func (s *FS) PutChunk(key string, payload []byte) (bool, error) {
-	s.casMu.Lock()
-	defer s.casMu.Unlock()
-	refs, exists, err := s.readRef(key)
-	if err != nil {
-		return false, err
-	}
-	if exists {
-		return true, s.writeRef(key, refs+1)
-	}
-	err = s.writeAtomic(s.chunkPath(key), func(w io.Writer) error {
-		_, werr := w.Write(payload)
-		return werr
-	})
-	if err != nil {
-		return false, err
-	}
-	return false, s.writeRef(key, 1)
-}
-
-// GetChunk reads one chunk payload.
-func (s *FS) GetChunk(key string) ([]byte, bool, error) {
-	b, err := os.ReadFile(s.chunkPath(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("ckpt: chunk read: %w", err)
-	}
-	return b, true, nil
-}
-
-// ReleaseChunks drops one reference from each chunk, deleting payload and
-// sidecar when the count reaches zero. Unknown keys are skipped.
-func (s *FS) ReleaseChunks(keys []string) error {
-	s.casMu.Lock()
-	defer s.casMu.Unlock()
-	var first error
-	for _, key := range keys {
-		refs, exists, err := s.readRef(key)
-		if err == nil && exists && refs > 1 {
-			err = s.writeRef(key, refs-1)
-		} else if err == nil {
-			// Last reference (or a half-put chunk with no sidecar): remove
-			// both files; missing ones are already gone.
-			for _, p := range []string{s.refPath(key), s.chunkPath(key)} {
-				if rerr := os.Remove(p); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) && err == nil {
-					err = fmt.Errorf("ckpt: chunk release: %w", rerr)
-				}
-			}
-		}
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Mem is an in-memory Store for fast tests and embedded use. Snapshots are
-// kept in their encoded container form, so Save/Load exercise the same
+// Mem is an in-memory Store for fast tests and embedded use: the checkpoint
+// layout over a map of encoded blobs, so Save/Load exercise the same
 // serialisation path as the filesystem store and loaded snapshots never
 // alias the saver's field slices. A Mem value must be shared (not copied)
 // between the runs that are meant to see each other's checkpoints.
 type Mem struct {
-	mu        sync.Mutex
-	blobs     map[string][]byte
-	running   map[string]bool
-	chunks    map[string][]byte
-	chunkRefs map[string]int
+	layout
+	m *memBlobs
 }
 
 var _ Store = (*Mem)(nil)
 
 // NewMem creates an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{
-		blobs: map[string][]byte{}, running: map[string]bool{},
-		chunks: map[string][]byte{}, chunkRefs: map[string]int{},
-	}
+	m := newMemBlobs()
+	return &Mem{layout: layout{b: m}, m: m}
 }
 
-// Size reports the store's live footprint: how many artifacts it holds
-// (snapshot/delta/manifest blobs plus dedup chunks) and their total encoded
-// bytes. Soak tests assert this stays bounded across arbitrarily long
-// churn — a chain that is never compacted or a relaunch that leaks old
-// artifacts shows up here as monotone growth.
+// Size reports the store's live footprint: how many blobs it holds
+// (artifacts, dedup chunks and their bookkeeping) and their total bytes.
+// Soak tests assert this stays bounded across arbitrarily long churn — a
+// chain that is never compacted or a relaunch that leaks old artifacts
+// shows up here as monotone growth.
 func (s *Mem) Size() (items int, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range s.blobs {
+	s.m.mu.Lock()
+	defer s.m.mu.Unlock()
+	for _, b := range s.m.m {
 		bytes += int64(len(b))
 	}
-	for _, b := range s.chunks {
-		bytes += int64(len(b))
-	}
-	return len(s.blobs) + len(s.chunks), bytes
+	return len(s.m.m), bytes
 }
 
-// PutChunk stores one content-addressed chunk, or bumps its reference count
-// if the content is already present. The payload is copied: stores must not
-// retain caller memory (the serialisation pools recycle it).
-func (s *Mem) PutChunk(key string, payload []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.chunks[key]; ok {
-		s.chunkRefs[key]++
-		return true, nil
-	}
-	s.chunks[key] = append([]byte(nil), payload...)
-	s.chunkRefs[key] = 1
-	return false, nil
+// memBlobs keeps blobs in a map. A stored slice is never written again, so
+// readers share it without copying.
+type memBlobs struct {
+	mu sync.Mutex
+	m  map[string][]byte
 }
 
-// GetChunk reads one chunk payload.
-func (s *Mem) GetChunk(key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.chunks[key]
-	return b, ok, nil
-}
+func newMemBlobs() *memBlobs { return &memBlobs{m: map[string][]byte{}} }
 
-// ReleaseChunks drops one reference from each chunk, deleting chunks whose
-// count reaches zero; unknown keys are skipped.
-func (s *Mem) ReleaseChunks(keys []string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, key := range keys {
-		if _, ok := s.chunks[key]; !ok {
-			continue
-		}
-		if s.chunkRefs[key]--; s.chunkRefs[key] <= 0 {
-			delete(s.chunks, key)
-			delete(s.chunkRefs, key)
-		}
-	}
-	return nil
-}
-
-func memKey(app string, shard int) string {
-	if shard < 0 {
-		return app + ".ckpt"
-	}
-	return fmt.Sprintf("%s.r%d.ckpt", app, shard)
-}
-
-func (s *Mem) put(snap *serial.Snapshot, shard int) error {
+func (s *memBlobs) Put(name string, write func(io.Writer) error) error {
 	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		return fmt.Errorf("ckpt: encoding snapshot: %w", err)
+	if err := write(&buf); err != nil {
+		return fmt.Errorf("ckpt: writing %s: %w", name, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[memKey(snap.App, shard)] = buf.Bytes()
+	s.m[name] = buf.Bytes()
 	return nil
 }
 
-func (s *Mem) get(app string, shard int) (*serial.Snapshot, bool, error) {
+func (s *memBlobs) Open(name string) (io.ReadCloser, error) {
 	s.mu.Lock()
-	blob, ok := s.blobs[memKey(app, shard)]
+	blob, ok := s.m[name]
 	s.mu.Unlock()
 	if !ok {
-		return nil, false, nil
+		return nil, fs.ErrNotExist
 	}
-	snap, err := serial.Decode(bytes.NewReader(blob))
-	if err != nil {
-		// Exists but damaged: found=true, matching FS and Gzip.
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, shard), err)
-	}
-	return snap, true, nil
+	return io.NopCloser(bytes.NewReader(blob)), nil
 }
 
-// Save stores the canonical snapshot.
-func (s *Mem) Save(snap *serial.Snapshot) error { return s.put(snap, -1) }
-
-// SaveShard stores one rank's snapshot.
-func (s *Mem) SaveShard(snap *serial.Snapshot, rank int) error { return s.put(snap, rank) }
-
-// SaveDelta stores one delta checkpoint in its encoded container form, so
-// loads exercise the same decode path as the filesystem store.
-func (s *Mem) SaveDelta(d *serial.Delta) error {
-	if d.Seq == 0 {
-		return fmt.Errorf("ckpt: delta for %q has no chain sequence number", d.App)
-	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		return fmt.Errorf("ckpt: encoding delta: %w", err)
-	}
+func (s *memBlobs) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[memDeltaKey(d.App, d.Seq)] = buf.Bytes()
+	delete(s.m, name)
 	return nil
 }
 
-func memDeltaKey(app string, seq uint64) string {
-	return fmt.Sprintf("%s.d%d.ckpt", app, seq)
-}
-
-// Load reads the canonical snapshot.
-func (s *Mem) Load(app string) (*serial.Snapshot, bool, error) { return s.get(app, -1) }
-
-// LoadChain reads the canonical snapshot plus the longest consistent
-// prefix of its delta chain (see Store.LoadChain for the truncation rules).
-func (s *Mem) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	base, found, err := s.get(app, -1)
-	if err != nil || !found {
-		return nil, nil, found, err
-	}
-	var deltas []*serial.Delta
-	for seq := uint64(1); ; seq++ {
-		s.mu.Lock()
-		blob, ok := s.blobs[memDeltaKey(app, seq)]
-		s.mu.Unlock()
-		if !ok {
-			break
-		}
-		d, derr := serial.DecodeDelta(bytes.NewReader(blob))
-		if derr != nil || !chainLink(base, d, seq) {
-			break
-		}
-		deltas = append(deltas, d)
-	}
-	return base, deltas, true, nil
-}
-
-// LoadShard reads rank's snapshot.
-func (s *Mem) LoadShard(app string, rank int) (*serial.Snapshot, bool, error) {
-	return s.get(app, rank)
-}
-
-func memShardDeltaKey(app string, rank int, seq uint64) string {
-	return fmt.Sprintf("%s.r%d.d%d.ckpt", app, rank, seq)
-}
-
-// SaveShardDelta appends one link to rank's shard chain, stored in its
-// encoded container form like every other artifact.
-func (s *Mem) SaveShardDelta(d *serial.Delta, rank int) error {
-	if d.Seq == 0 {
-		return fmt.Errorf("ckpt: shard delta for %q has no chain sequence number", d.App)
-	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		return fmt.Errorf("ckpt: encoding shard delta: %w", err)
-	}
+func (s *memBlobs) List() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[memShardDeltaKey(d.App, rank, d.Seq)] = buf.Bytes()
-	return nil
-}
-
-// LoadShardDelta reads one link of rank's shard chain.
-func (s *Mem) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	s.mu.Lock()
-	blob, ok := s.blobs[memShardDeltaKey(app, rank, seq)]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false, nil
+	names := make([]string, 0, len(s.m))
+	for name := range s.m {
+		names = append(names, name)
 	}
-	d, err := serial.DecodeDelta(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memShardDeltaKey(app, rank, seq), err)
-	}
-	return d, true, nil
-}
-
-// ClearShardDeltas removes rank's chain links below the given sequence
-// number (0 removes all of them).
-func (s *Mem) ClearShardDeltas(app string, rank int, below uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.blobs {
-		if seq, ok := shardChainSeq(k, app, rank); ok && (below == 0 || seq < below) {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-// SaveManifest replaces the shard-checkpoint commit record.
-func (s *Mem) SaveManifest(m *serial.Manifest) error {
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		return fmt.Errorf("ckpt: encoding manifest: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs[m.App+".manifest.ckpt"] = buf.Bytes()
-	return nil
-}
-
-// LoadManifest reads the shard-checkpoint commit record.
-func (s *Mem) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	s.mu.Lock()
-	blob, ok := s.blobs[app+".manifest.ckpt"]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	m, err := serial.DecodeManifest(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", app+".manifest.ckpt", err)
-	}
-	return m, true, nil
-}
-
-// Clear removes all snapshots for app. Keys are matched exactly (canonical,
-// shards, deltas, shard chains and the manifest): parsing with Sscanf would
-// treat app as format text (mangling names containing %) and accept keys
-// with trailing junk.
-func (s *Mem) Clear(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.blobs {
-		if ownedName(k, app) {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-// ClearDeltas removes only app's delta chain.
-func (s *Mem) ClearDeltas(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.blobs {
-		if isSeqFile(k, app, 'd') {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-// LedgerStart marks the run as in progress.
-func (s *Mem) LedgerStart(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running[app] = true
-	return nil
-}
-
-// LedgerFinish marks the run as cleanly completed.
-func (s *Mem) LedgerFinish(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.running, app)
-	return nil
-}
-
-// Crashed reports whether a run was started and never finished.
-func (s *Mem) Crashed(app string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running[app], nil
+	return names, nil
 }
 
 // gzipMode marks envelope snapshots written by the Gzip wrapper.
@@ -889,45 +315,60 @@ const gzipMode = "gzip"
 const gzipField = "__gz"
 
 // Gzip wraps an inner Store with transparent gzip compression: snapshots
-// are encoded, compressed, and stored through the inner store as a small
-// envelope snapshot (one bytes field holding the compressed container).
-// Loads pass envelopes back through gunzip and decode; snapshots written
-// without the wrapper are returned unchanged, so a store can be upgraded to
-// compression without invalidating existing checkpoints.
+// and chain links are encoded, compressed, and stored through the inner
+// store as a small envelope (one bytes field holding the compressed
+// container). A link's envelope is itself a delta whose chain header
+// (App/SafePoints/BaseSP/Seq) mirrors the real one in cleartext, so the inner
+// store's LoadChain can validate link order and staleness without
+// decompressing. Loads pass envelopes back through gunzip and decode;
+// artifacts written without the wrapper are returned unchanged, so a store
+// can be upgraded to compression without invalidating existing checkpoints.
+//
+// Everything else is the inner store's: the manifest is a few dozen bytes
+// and must stay independently decodable, and chunk payloads are keyed by
+// their exact content, so compressing them here would break the content
+// address (a backend wanting compressed chunks compresses below the key).
 type Gzip struct {
-	inner Store
-	// Level is the gzip compression level (gzip.DefaultCompression when 0
-	// is passed to NewGzip).
-	level int
+	Store
 }
 
-var _ Store = (*Gzip)(nil)
+// NewGzip wraps inner with gzip compression.
+func NewGzip(inner Store) *Gzip { return &Gzip{inner} }
 
-// NewGzip wraps inner with gzip compression at the given level; level 0
-// selects gzip.DefaultCompression.
-func NewGzip(inner Store, level int) *Gzip {
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
-	return &Gzip{inner: inner, level: level}
-}
-
-func (s *Gzip) compress(snap *serial.Snapshot) (*serial.Snapshot, error) {
-	// Stream the container straight through the codec: no uncompressed
-	// copy of the (potentially large) application state is materialised.
+// gzipped streams a container straight through the codec: no uncompressed
+// copy of the (potentially large) application state is materialised.
+func gzipped(encode func(io.Writer) error) (serial.Value, error) {
 	var gz bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&gz, s.level)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: gzip writer: %w", err)
-	}
-	if err := snap.Encode(zw); err != nil {
-		return nil, fmt.Errorf("ckpt: gzip encode: %w", err)
+	zw := gzip.NewWriter(&gz)
+	if err := encode(zw); err != nil {
+		return serial.Value{}, fmt.Errorf("ckpt: gzip encode: %w", err)
 	}
 	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("ckpt: gzip close: %w", err)
+		return serial.Value{}, fmt.Errorf("ckpt: gzip close: %w", err)
+	}
+	return serial.Bytes(gz.Bytes()), nil
+}
+
+func gunzipped[T any](payload []byte, decode func(io.Reader) (*T, error)) (*T, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: gunzip: %w", err)
+	}
+	defer zr.Close()
+	v, err := decode(zr)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: decode compressed artifact: %w", err)
+	}
+	return v, nil
+}
+
+func compress(snap *serial.Snapshot) (*serial.Snapshot, error) {
+	gz, err := gzipped(snap.Encode)
+	if err != nil {
+		return nil, err
 	}
 	env := serial.NewSnapshot(snap.App, gzipMode, snap.SafePoints)
-	env.Fields[gzipField] = serial.Bytes(gz.Bytes())
+	env.Fields[gzipField] = gz
 	return env, nil
 }
 
@@ -936,72 +377,54 @@ func decompress(env *serial.Snapshot) (*serial.Snapshot, error) {
 	if env.Mode != gzipMode || !ok {
 		return env, nil // written without the wrapper: pass through
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(v.B))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: gunzip: %w", err)
-	}
-	defer zr.Close()
-	snap, err := serial.Decode(zr)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: decode compressed snapshot: %w", err)
-	}
-	return snap, nil
+	return gunzipped(v.B, serial.Decode)
 }
 
-// Save compresses and stores the canonical snapshot.
-func (s *Gzip) Save(snap *serial.Snapshot) error {
-	env, err := s.compress(snap)
+func compressDelta(d *serial.Delta) (*serial.Delta, error) {
+	gz, err := gzipped(d.Encode)
 	if err != nil {
-		return err
-	}
-	return s.inner.Save(env)
-}
-
-// SaveDelta compresses and stores one delta checkpoint. The envelope is
-// itself a delta whose chain header (App/SafePoints/BaseSP/Seq) mirrors the
-// real one in cleartext, so the inner store's LoadChain can validate link
-// order and staleness without decompressing.
-func (s *Gzip) SaveDelta(d *serial.Delta) error {
-	env, err := s.compressDelta(d)
-	if err != nil {
-		return err
-	}
-	return s.inner.SaveDelta(env)
-}
-
-func (s *Gzip) compressDelta(d *serial.Delta) (*serial.Delta, error) {
-	var gz bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&gz, s.level)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: gzip writer: %w", err)
-	}
-	if err := d.Encode(zw); err != nil {
-		return nil, fmt.Errorf("ckpt: gzip delta encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("ckpt: gzip close: %w", err)
+		return nil, err
 	}
 	env := serial.NewDelta(d.App, gzipMode, d.SafePoints, d.BaseSP)
 	env.Seq = d.Seq
-	env.Full[gzipField] = serial.Bytes(gz.Bytes())
+	env.Full[gzipField] = gz
 	return env, nil
 }
 
-// LoadChain reads and decompresses the canonical snapshot and its delta
-// chain. An envelope that fails to decompress or decode truncates the
-// chain at that link, exactly like a torn write in the inner store.
-func (s *Gzip) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	base, envs, found, err := s.inner.LoadChain(app)
+func decompressDelta(env *serial.Delta) (*serial.Delta, error) {
+	v, ok := env.Full[gzipField]
+	if env.Mode != gzipMode || !ok {
+		return env, nil // written without the wrapper: pass through
+	}
+	return gunzipped(v.B, serial.DecodeDelta)
+}
+
+// unwrapped applies a wrapper's read-side transform to what its inner store
+// loaded, keeping the Load conventions: an artifact that exists but cannot
+// be unwrapped reports found=true alongside the error — found=false means
+// (only) that no artifact exists, and callers use it to decide whether a
+// restart point is available at all.
+func unwrapped[T any](env *T, found bool, err error, unwrap func(*T) (*T, error)) (*T, bool, error) {
+	if err != nil || !found {
+		return nil, found, err
+	}
+	v, err := unwrap(env)
+	return v, true, err
+}
+
+// unwrappedChain is unwrapped for LoadChain: a link that cannot be unwrapped
+// (or, unwrapped, is not base's next link) truncates the chain there, exactly
+// like a torn write in the inner store.
+func unwrappedChain(base *serial.Snapshot, envs []*serial.Delta, found bool, err error,
+	unwrap func(*serial.Snapshot) (*serial.Snapshot, error),
+	unwrapDelta func(*serial.Delta) (*serial.Delta, error)) (*serial.Snapshot, []*serial.Delta, bool, error) {
+	snap, found, err := unwrapped(base, found, err, unwrap)
 	if err != nil || !found {
 		return nil, nil, found, err
 	}
-	snap, err := decompress(base)
-	if err != nil {
-		return nil, nil, true, err
-	}
 	var deltas []*serial.Delta
 	for _, env := range envs {
-		d, derr := decompressDelta(env)
+		d, derr := unwrapDelta(env)
 		if derr != nil || !chainLink(snap, d, env.Seq) {
 			break
 		}
@@ -1010,125 +433,48 @@ func (s *Gzip) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, e
 	return snap, deltas, true, nil
 }
 
-func decompressDelta(env *serial.Delta) (*serial.Delta, error) {
-	v, ok := env.Full[gzipField]
-	if env.Mode != gzipMode || !ok {
-		return env, nil // written without the wrapper: pass through
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(v.B))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: gunzip delta: %w", err)
-	}
-	defer zr.Close()
-	d, err := serial.DecodeDelta(zr)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: decode compressed delta: %w", err)
-	}
-	return d, nil
-}
-
-// SaveShard compresses and stores one rank's snapshot.
-func (s *Gzip) SaveShard(snap *serial.Snapshot, rank int) error {
-	env, err := s.compress(snap)
+// Save compresses and stores the canonical snapshot.
+func (s *Gzip) Save(snap *serial.Snapshot) error {
+	env, err := compress(snap)
 	if err != nil {
 		return err
 	}
-	return s.inner.SaveShard(env, rank)
+	return s.Store.Save(env)
 }
 
-// Load reads and decompresses the canonical snapshot. A snapshot that
-// exists but fails to decompress reports found=true alongside the error —
-// found=false means (only) that no checkpoint exists, and callers use it to
-// decide whether a restart point is available at all.
-func (s *Gzip) Load(app string) (*serial.Snapshot, bool, error) {
-	env, found, err := s.inner.Load(app)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	snap, err := decompress(env)
+// SaveDelta compresses and stores one delta checkpoint.
+func (s *Gzip) SaveDelta(d *serial.Delta) error {
+	env, err := compressDelta(d)
 	if err != nil {
-		return nil, true, err
+		return err
 	}
-	return snap, true, nil
+	return s.Store.SaveDelta(env)
 }
 
-// LoadShard reads and decompresses rank's snapshot; like Load, a corrupt
-// snapshot reports found=true with the error.
-func (s *Gzip) LoadShard(app string, rank int) (*serial.Snapshot, bool, error) {
-	env, found, err := s.inner.LoadShard(app, rank)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	snap, err := decompress(env)
-	if err != nil {
-		return nil, true, err
-	}
-	return snap, true, nil
-}
-
-// SaveShardDelta compresses and appends one shard-chain link, using the
-// same cleartext-header envelope as SaveDelta.
+// SaveShardDelta compresses and appends one shard-chain link.
 func (s *Gzip) SaveShardDelta(d *serial.Delta, rank int) error {
-	env, err := s.compressDelta(d)
+	env, err := compressDelta(d)
 	if err != nil {
 		return err
 	}
-	return s.inner.SaveShardDelta(env, rank)
+	return s.Store.SaveShardDelta(env, rank)
 }
 
-// LoadShardDelta reads and decompresses one shard-chain link; like Load, a
-// corrupt link reports found=true with the error.
+// Load reads and decompresses the canonical snapshot.
+func (s *Gzip) Load(app string) (*serial.Snapshot, bool, error) {
+	env, found, err := s.Store.Load(app)
+	return unwrapped(env, found, err, decompress)
+}
+
+// LoadChain reads and decompresses the canonical snapshot and its delta
+// chain.
+func (s *Gzip) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
+	base, envs, found, err := s.Store.LoadChain(app)
+	return unwrappedChain(base, envs, found, err, decompress, decompressDelta)
+}
+
+// LoadShardDelta reads and decompresses one shard-chain link.
 func (s *Gzip) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	env, found, err := s.inner.LoadShardDelta(app, rank, seq)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	d, err := decompressDelta(env)
-	if err != nil {
-		return nil, true, err
-	}
-	return d, true, nil
+	env, found, err := s.Store.LoadShardDelta(app, rank, seq)
+	return unwrapped(env, found, err, decompressDelta)
 }
-
-// ClearShardDeltas delegates to the inner store.
-func (s *Gzip) ClearShardDeltas(app string, rank int, below uint64) error {
-	return s.inner.ClearShardDeltas(app, rank, below)
-}
-
-// SaveManifest delegates to the inner store: the commit record is a few
-// dozen bytes and must stay independently decodable, so it is never
-// compressed.
-func (s *Gzip) SaveManifest(m *serial.Manifest) error { return s.inner.SaveManifest(m) }
-
-// LoadManifest delegates to the inner store.
-func (s *Gzip) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	return s.inner.LoadManifest(app)
-}
-
-// Clear delegates to the inner store.
-func (s *Gzip) Clear(app string) error { return s.inner.Clear(app) }
-
-// ClearDeltas delegates to the inner store.
-func (s *Gzip) ClearDeltas(app string) error { return s.inner.ClearDeltas(app) }
-
-// LedgerStart delegates to the inner store.
-func (s *Gzip) LedgerStart(app string) error { return s.inner.LedgerStart(app) }
-
-// LedgerFinish delegates to the inner store.
-func (s *Gzip) LedgerFinish(app string) error { return s.inner.LedgerFinish(app) }
-
-// Crashed delegates to the inner store.
-func (s *Gzip) Crashed(app string) (bool, error) { return s.inner.Crashed(app) }
-
-// PutChunk delegates to the inner store: chunk payloads are keyed by their
-// exact content, so compressing them here would break the content address;
-// a backend wanting compressed chunks compresses below the key.
-func (s *Gzip) PutChunk(key string, payload []byte) (bool, error) {
-	return s.inner.PutChunk(key, payload)
-}
-
-// GetChunk delegates to the inner store.
-func (s *Gzip) GetChunk(key string) ([]byte, bool, error) { return s.inner.GetChunk(key) }
-
-// ReleaseChunks delegates to the inner store.
-func (s *Gzip) ReleaseChunks(keys []string) error { return s.inner.ReleaseChunks(keys) }

@@ -435,8 +435,7 @@ type Engine struct {
 	sw      *shardWriter  // background shard pool (AsyncCheckpoint + ShardCheckpoints)
 
 	resumeSnap   *serial.Snapshot   // replay source: crash restart or migration
-	shardResume  bool               // restart from per-rank shards instead
-	shardSnaps   []*serial.Snapshot // manifest-gated materialised shard states
+	shardSnaps   []*serial.Snapshot // same-topology shard restart: per-rank materialised chains
 	replayTarget uint64
 	restarted    bool // this Run replayed from a persisted checkpoint
 
@@ -756,7 +755,6 @@ func (e *Engine) openCheckpointing() error {
 		if (e.cfg.Mode == Distributed || e.cfg.Mode == Hybrid ||
 			(e.cfg.Mode == Task && e.cfg.Procs > 1)) && e.cfg.Procs == man.World() {
 			// Same topology: every rank restores its own shard in parallel.
-			e.shardResume = true
 			e.shardSnaps = shards
 		} else {
 			// Different world size or mode: repartition the shards through
@@ -773,17 +771,7 @@ func (e *Engine) openCheckpointing() error {
 		e.resumeSnap = snap
 		e.replayTarget = snap.SafePoints
 	default:
-		// Pre-manifest stores: fall back to the legacy one-file-per-rank
-		// shard snapshots, restartable only into the identical world.
-		shard, lfound, lerr := e.store.LoadShard(e.cfg.AppName, 0)
-		if lerr != nil {
-			return lerr
-		}
-		if !lfound {
-			return nil // crashed before any checkpoint: plain re-run
-		}
-		e.shardResume = true
-		e.replayTarget = shard.SafePoints
+		return nil // crashed before any checkpoint: plain re-run
 	}
 	e.restarted = true
 	e.repMu.Lock()

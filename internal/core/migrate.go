@@ -123,7 +123,6 @@ func (e *Engine) applyMigration(m *migrationSpec) error {
 		return fmt.Errorf("core: migration at safe point %d left no snapshot", m.sp)
 	}
 	e.resumeSnap = snap
-	e.shardResume = false
 	e.shardSnaps = nil
 	e.replayTarget = m.sp
 	e.curMode = m.mode

@@ -474,22 +474,8 @@ func (c *Ctx) mustSnap() *serial.Snapshot {
 // Figure 5) or from per-rank shards.
 func (c *Ctx) distLoad() {
 	e := c.eng
-	if e.shardResume {
-		var snap *serial.Snapshot
-		if e.shardSnaps != nil {
-			snap = e.shardSnaps[c.Rank()] // manifest-gated materialised chain
-		} else {
-			// Legacy pre-manifest snapshots: one file per rank, loadable
-			// only into the identical world.
-			var found bool
-			var err error
-			snap, found, err = e.store.LoadShard(e.cfg.AppName, c.Rank())
-			c.must(err)
-			if !found {
-				panic(abortToken{msg: fmt.Sprintf("core: rank %d has no shard snapshot (pre-manifest shard checkpoints require restarting with the same number of processes)", c.Rank())})
-			}
-		}
-		c.must(c.fields.restoreShard(snap, c.Rank(), c.Procs()))
+	if e.shardSnaps != nil {
+		c.must(c.fields.restoreShard(e.shardSnaps[c.Rank()], c.Rank(), c.Procs()))
 		c.must(c.comm.Barrier())
 		return
 	}

@@ -108,86 +108,137 @@ func TestCrossModeRestartMatrix(t *testing.T) {
 // the saves) as a torn write — and verifies that the restart after each
 // single injected failure loads a consistent snapshot and finishes with
 // the uninterrupted result. A half-applied delta chain would diverge.
+//
+// The second input set runs the same sweep over the chunk operations below
+// a DedupStore — every PutChunk failed and torn, every ReleaseChunks failed
+// — which is what pins the wrapper's put-before-link and clear-before-
+// release ordering: whatever the fault, every link the backend holds must
+// still resolve all its chunks, and clearing the application must drop the
+// last reference to every chunk the run put.
 func TestDeltaFaultInjectionAlwaysConsistent(t *testing.T) {
-	want := run(t, pp.Sequential)
-
-	// Kill at safe point 6: checkpoints land at sp 1 (full), 2-4 (deltas)
-	// and 5 (compaction full), so the sweep covers a torn base that a later
-	// compaction overwrites, a torn final base, torn deltas in every chain
-	// position, and both compaction ClearDeltas windows.
-	const failAt = 6
-
-	// Dry run: count how many of each op the interrupted run performs.
-	counts := map[ckpt.FaultOp]int{}
-	{
-		store := ckpt.NewFault()
-		var total float64
-		eng := deploy(t, &total, pp.Shared, pp.WithThreads(2),
-			pp.WithStore(store), pp.WithDeltaCheckpoint(1, 3), pp.WithFailureAt(failAt, 0))
-		if err := eng.Run(); !errors.Is(err, pp.ErrInjectedFailure) {
-			t.Fatalf("dry run: %v", err)
-		}
-		for _, op := range []ckpt.FaultOp{ckpt.OpSave, ckpt.OpSaveDelta, ckpt.OpClearDeltas} {
-			counts[op] = store.Ops(op)
-		}
-		if counts[ckpt.OpSave] < 2 || counts[ckpt.OpSaveDelta] == 0 || counts[ckpt.OpClearDeltas] < 2 {
-			t.Fatalf("dry run exercised too little: %v", counts)
-		}
-	}
-
 	type injection struct {
 		op   ckpt.FaultOp
 		torn bool
 	}
-	var cases []injection
-	for _, op := range []ckpt.FaultOp{ckpt.OpSave, ckpt.OpSaveDelta, ckpt.OpClearDeltas} {
-		cases = append(cases, injection{op, false})
-	}
-	cases = append(cases, injection{ckpt.OpSave, true}, injection{ckpt.OpSaveDelta, true})
+	// Kill at safe point 6: checkpoints land at sp 1 (full), 2-4 (deltas)
+	// and 5 (compaction full), so the sweep covers a torn base that a later
+	// compaction overwrites, a torn final base, torn deltas in every chain
+	// position, and both compaction ClearDeltas windows.
+	ckptOpts := []pp.Option{pp.WithDeltaCheckpoint(1, 3)}
+	const failAt = 6
+	const stripeIters = 8
+	stripeWant, _ := runStripe(t, stripeIters)
 
-	for _, inj := range cases {
-		for n := 1; n <= counts[inj.op]; n++ {
-			kind := "fail"
-			if inj.torn {
-				kind = "tear"
+	for _, set := range []struct {
+		name   string
+		app    string
+		want   float64
+		deploy func(t *testing.T, total *float64, opts ...pp.Option) *pp.Engine
+		wrap   func(*ckpt.FaultStore) pp.Store
+		cases  []injection
+		// loud is what a restart may fail with, and only after a torn write
+		// of this set's anchor artifact: a non-atomic store losing the
+		// anchor itself — the stock FS store's rename atomicity rules this
+		// out. Any other torn write must never surface: the chain truncates
+		// to the consistent prefix instead.
+		loudOp ckpt.FaultOp
+		loud   string
+	}{
+		{
+			name: "chain", app: "pp-counter", want: run(t, pp.Sequential),
+			deploy: func(t *testing.T, total *float64, opts ...pp.Option) *pp.Engine {
+				return deploy(t, total, pp.Shared, append(opts, pp.WithThreads(2))...)
+			},
+			wrap: func(f *ckpt.FaultStore) pp.Store { return f },
+			cases: []injection{{ckpt.OpSave, false}, {ckpt.OpSaveDelta, false}, {ckpt.OpClearDeltas, false},
+				{ckpt.OpSave, true}, {ckpt.OpSaveDelta, true}},
+			loudOp: ckpt.OpSave, loud: "decode",
+		},
+		{
+			name: "dedup-chunks", app: "pp-stripe", want: stripeWant,
+			deploy: func(t *testing.T, total *float64, opts ...pp.Option) *pp.Engine {
+				return deployStripe(t, total, stripeIters, opts...)
+			},
+			wrap:  func(f *ckpt.FaultStore) pp.Store { return pp.NewDedupStore(f) },
+			cases: []injection{{ckpt.OpPutChunk, false}, {ckpt.OpReleaseChunks, false}, {ckpt.OpPutChunk, true}},
+			// A torn chunk stays under its key, so a later save of the same
+			// content shares it: the damage can reach the base.
+			loudOp: ckpt.OpPutChunk, loud: "corrupt",
+		},
+	} {
+		// Dry run: count how many of each op the interrupted run performs.
+		counts := map[ckpt.FaultOp]int{}
+		{
+			fault := ckpt.NewFault()
+			var total float64
+			eng := set.deploy(t, &total, append(ckptOpts, pp.WithStore(set.wrap(fault)), pp.WithFailureAt(failAt, 0))...)
+			if err := eng.Run(); !errors.Is(err, pp.ErrInjectedFailure) {
+				t.Fatalf("%s: dry run: %v", set.name, err)
 			}
-			t.Run(fmt.Sprintf("%s-%s-%d", kind, inj.op, n), func(t *testing.T) {
-				store := ckpt.NewFault()
-				if inj.torn {
-					store.ArmTorn(inj.op, n)
-				} else {
-					store.Arm(inj.op, n)
+			for _, inj := range set.cases {
+				counts[inj.op] = fault.Ops(inj.op)
+				if counts[inj.op] < 2 {
+					t.Fatalf("%s: dry run exercised too little: %v", set.name, counts)
 				}
-				var total float64
-				eng := deploy(t, &total, pp.Shared, pp.WithThreads(2),
-					pp.WithStore(store), pp.WithDeltaCheckpoint(1, 3), pp.WithFailureAt(failAt, 0))
-				// The run must end abnormally (the injected process failure,
-				// or earlier, the injected store error aborting the run);
-				// a torn write is silent, so there the process failure is
-				// the only interruption.
-				if err := eng.Run(); err == nil {
-					t.Fatal("interrupted run reported success")
-				}
-				store.Disarm()
+			}
+		}
 
-				eng2 := deploy(t, &total, pp.Shared, pp.WithThreads(2),
-					pp.WithStore(store), pp.WithDeltaCheckpoint(1, 3))
-				if err := eng2.Run(); err != nil {
-					// One outcome is allowed to fail, and only loudly: a
-					// torn write of the LAST canonical base (a non-atomic
-					// store losing the anchor itself — the stock FS store's
-					// rename atomicity rules this out). Torn deltas must
-					// never surface: the chain truncates to the consistent
-					// prefix instead.
-					if inj.torn && inj.op == ckpt.OpSave && strings.Contains(err.Error(), "decode") {
-						return
+		for _, inj := range set.cases {
+			for n := 1; n <= counts[inj.op]; n++ {
+				kind := "fail"
+				if inj.torn {
+					kind = "tear"
+				}
+				t.Run(fmt.Sprintf("%s/%s-%s-%d", set.name, kind, inj.op, n), func(t *testing.T) {
+					fault := ckpt.NewFault()
+					store := set.wrap(fault)
+					if inj.torn {
+						fault.ArmTorn(inj.op, n)
+					} else {
+						fault.Arm(inj.op, n)
 					}
-					t.Fatalf("restart: %v", err)
-				}
-				if total != want {
-					t.Fatalf("recovered total=%v want %v (inconsistent restart state)", total, want)
-				}
-			})
+					var total float64
+					eng := set.deploy(t, &total, append(ckptOpts, pp.WithStore(store), pp.WithFailureAt(failAt, 0))...)
+					// The run must end abnormally (the injected process failure,
+					// or earlier, the injected store error aborting the run);
+					// a torn write is silent, so there the process failure is
+					// the only interruption.
+					if err := eng.Run(); err == nil {
+						t.Fatal("interrupted run reported success")
+					}
+					fault.Disarm()
+					mayBeLoud := inj.torn && inj.op == set.loudOp
+
+					// Every link the backend holds loads through the store the
+					// engine used: none references a chunk that is not there.
+					_, held, _, _ := fault.LoadChain(set.app)
+					_, loaded, _, err := store.LoadChain(set.app)
+					if (err != nil || len(loaded) != len(held)) && !mayBeLoud {
+						t.Fatalf("backend holds a %d-link chain, the store loads %d (err=%v)", len(held), len(loaded), err)
+					}
+
+					eng2 := set.deploy(t, &total, append(ckptOpts, pp.WithStore(store))...)
+					if err := eng2.Run(); err != nil {
+						if mayBeLoud && strings.Contains(err.Error(), set.loud) {
+							return
+						}
+						t.Fatalf("restart: %v", err)
+					}
+					if total != set.want {
+						t.Fatalf("recovered total=%v want %v (inconsistent restart state)", total, set.want)
+					}
+
+					// A finished run that is then cleared leaves nothing, chunks
+					// included. A failed release is the exception the contract
+					// allows: it leaks the chunks it was handed.
+					if err := store.Clear(set.app); err != nil {
+						t.Fatal(err)
+					}
+					if items, _ := fault.Size(); items != 0 && inj.op != ckpt.OpReleaseChunks {
+						t.Fatalf("%d blobs outlive Clear", items)
+					}
+				})
+			}
 		}
 	}
 }
@@ -295,19 +346,25 @@ func stripeModules() []*pp.Module {
 		SafePointAfter("iter")}
 }
 
-func runStripe(t *testing.T, iters int, opts ...pp.Option) (float64, pp.Report) {
+func deployStripe(t *testing.T, total *float64, iters int, opts ...pp.Option) *pp.Engine {
 	t.Helper()
-	var total float64
 	opts = append([]pp.Option{
 		pp.WithName("pp-stripe"),
 		pp.WithModules(stripeModules()...),
 	}, opts...)
 	eng, err := pp.New(func() pp.App {
-		return &stripe{State: make([]float64, 8*serial.DeltaChunkElems), iters: iters, total: &total}
+		return &stripe{State: make([]float64, 8*serial.DeltaChunkElems), iters: iters, total: total}
 	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+func runStripe(t *testing.T, iters int, opts ...pp.Option) (float64, pp.Report) {
+	t.Helper()
+	var total float64
+	eng := deployStripe(t, &total, iters, opts...)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

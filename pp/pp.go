@@ -53,13 +53,29 @@
 //
 // # Pluggable checkpoint backends
 //
-// Checkpoint transport is a Store interface with three stock
-// implementations — filesystem (NewFSStore), in-memory (NewMemStore) and a
-// gzip-compressing wrapper (NewGzipStore) — selected with WithStore:
+// Checkpoint transport is the Store interface, selected with WithStore.
+// Two stock backends implement it — filesystem (NewFSStore) and in-memory
+// (NewMemStore) — and three wrappers decorate any Store: gzip compression
+// (NewGzipStore), content-addressed deduplication (NewDedupStore) and
+// per-tenant namespacing (NamespacedStore):
 //
 //	store := pp.NewGzipStore(pp.NewMemStore())
 //	eng, err := pp.New(factory, pp.WithMode(pp.Distributed), pp.WithProcs(4),
 //		pp.WithModules(mods...), pp.WithStore(store), pp.WithCheckpointEvery(10))
+//
+// There are two seams. Store is the typed one the engine and the wrappers
+// speak: snapshots, chain links, manifests, chunks and the run ledger. The
+// stock backends do not implement it method by method: one layout (in
+// ppar/internal/ckpt) implements all of it — artifact names, chain
+// truncation, exact-name Clear, the ledger marker, chunk reference counts —
+// over a four-method blob contract, and a backend is only that contract:
+// Put(name, write) replaces a named blob atomically (readers see the whole
+// old blob or the whole new one; a failed Put leaves the old one) and
+// durably (it survives a machine crash once Put returns); Open(name) reads
+// it, reporting fs.ErrNotExist when absent; Delete(name) is idempotent and
+// need not be durable; List() returns the exact names of complete blobs,
+// never a Put in flight. Adding a backend is a page of code there; a
+// Store written from scratch against the interface below works too.
 //
 // WithCheckpointDir(dir) remains as sugar for WithStore(filesystem store).
 // Because the canonical snapshot format is mode-independent, a checkpoint

@@ -67,11 +67,7 @@ func NamespacedStore(prefix string, inner Store) (Store, error) {
 // encoded snapshot container. Snapshots written without the wrapper are
 // still readable through it, so a deployment can be upgraded to compression
 // in place.
-func NewGzipStore(inner Store) Store { return ckpt.NewGzip(inner, 0) }
-
-// NewGzipStoreLevel is NewGzipStore with an explicit gzip compression level
-// (gzip.BestSpeed..gzip.BestCompression; 0 selects the default).
-func NewGzipStoreLevel(inner Store, level int) Store { return ckpt.NewGzip(inner, level) }
+func NewGzipStore(inner Store) Store { return ckpt.NewGzip(inner) }
 
 // DedupStore wraps any Store with content-addressed deduplication: large
 // float fields are split on the delta differ's fixed chunk grid and each
