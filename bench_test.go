@@ -23,7 +23,6 @@ import (
 	"ppar/internal/md"
 	"ppar/internal/metrics"
 	"ppar/internal/serial"
-	"ppar/internal/team"
 	"ppar/pp"
 )
 
@@ -285,30 +284,10 @@ func BenchmarkFig8_OverDecomposition(b *testing.B) {
 	for _, of := range []int{1, 2, 4, 8, 16} {
 		of := of
 		b.Run(fmt.Sprintf("of-%d", of), func(b *testing.B) {
-			tasks := pe * of
 			for i := 0; i < b.N; i++ {
-				g := jgf.NewSOR(benchN, benchIters, nil)
-				team.OverDecompose(tasks, pe, benchIters, func(task, iter int) {
-					lo, hi := team.StaticSpan(task, tasks, 1, benchN-1)
-					_ = lo
-					_ = hi
-					benchSweep(g, lo, hi)
-				})
+				runBench(b, benchN, benchIters, benchOpts(pp.Task, pe, pp.WithOverdecompose(of))...)
 			}
 		})
-	}
-}
-
-func benchSweep(g *jgf.SOR, lo, hi int) {
-	omega, oneMinus := g.Omega, 1-g.Omega
-	for colour := 0; colour < 2; colour++ {
-		for i := lo; i < hi; i++ {
-			row := g.G[i]
-			up, down := g.G[i-1], g.G[i+1]
-			for j := 1 + (i+colour)%2; j < g.N-1; j += 2 {
-				row[j] = omega*0.25*(up[j]+down[j]+row[j-1]+row[j+1]) + oneMinus*row[j]
-			}
-		}
 	}
 }
 

@@ -93,13 +93,13 @@
 // GET /jobs/{id}, DELETE /jobs/{id} for checkpoint-and-stop, GET /status);
 // the fleet example walks the whole story in-process.
 //
-// README.md has the overview and quickstart, DESIGN.md the system inventory
-// and per-experiment index, EXPERIMENTS.md the paper-vs-measured comparison
-// for every figure. The benchmarks in bench_test.go regenerate each figure
-// of the paper's evaluation; the ppbench command prints them as tables, and
-// ppsor runs the SOR benchmark under any deployment from the command line
-// (including -store=fs|mem|gzip backend selection and -async/-delta
-// checkpointing). The benchjson command turns `go test -bench` output into
+// DESIGN.md names one concept per concern — the adaptation entry among
+// them: policies plus Engine.RequestAdapt for scripted and asynchronous
+// requests, WithAutoScale as the only driver. The benchmarks in
+// bench_test.go regenerate each figure of the paper's evaluation; the
+// ppbench command prints them as tables, and ppsor runs the SOR benchmark
+// under any deployment from the command line (including -store=fs|mem|gzip
+// backend selection and -async/-delta checkpointing). The benchjson command turns `go test -bench` output into
 // the BENCH_*.json documents CI uploads as the perf trajectory.
 //
 // The runtime's cross-cutting contracts — AdaptPolicy.Decide purity,

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"ppar/internal/jgf"
 	"ppar/pp"
@@ -101,24 +100,26 @@ func main() {
 		}
 	}
 
-	// The asynchronous path: a simulated resource manager grants more
-	// threads while the program runs; the coordinator applies the change at
-	// the next safe point it reaches.
+	// The asynchronous path: a resource manager grants more threads
+	// through Engine.RequestAdapt; the coordinator applies the change at
+	// the next safe point it schedules.
 	res := &jgf.SORResult{}
-	manager := pp.NewAdaptManager(pp.Grant(0*time.Millisecond, pp.AdaptTarget{Threads: 6}))
 	eng, err := pp.New(func() pp.App { return jgf.NewSOR(n, iters, res) },
 		pp.WithName("sor-adaptive"),
 		pp.WithMode(pp.Shared), pp.WithThreads(2),
-		pp.WithModules(jgf.SORModules(pp.Shared)...),
-		pp.WithAdaptManager(manager))
+		pp.WithModules(jgf.SORModules(pp.Shared)...))
 	if err != nil {
 		log.Fatal(err)
 	}
+	eng.RequestAdapt(pp.AdaptTarget{Threads: 6})
 	if err := eng.Run(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-48s adapted=%v  identical result\n",
-		"AdaptManager: threads 2 -> 6 (asynchronous)", eng.Report().Adapted)
+		"RequestAdapt: threads 2 -> 6 (asynchronous)", eng.Report().Adapted)
+	if !eng.Report().Adapted {
+		log.Fatal("the asynchronous request was never applied")
+	}
 	if res.Gtotal != reference {
 		log.Fatal("asynchronous adaptation changed the computation")
 	}

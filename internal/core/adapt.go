@@ -7,9 +7,9 @@ import (
 
 func newJoinReplay(target uint64) *ckpt.Replay { return ckpt.NewReplay(target) }
 
-// In-place reshaping constraints, shared between the static normalize
-// checks and the executors' run-time ResizeErr. Each names the in-process
-// migration path (AdaptTarget.Mode) where it now applies.
+// In-place reshaping constraints, reported by the executors' ResizeErr.
+// Each names the in-process migration path (AdaptTarget.Mode) where it
+// applies.
 const (
 	seqCannotResizeMsg = "core: Sequential mode cannot adapt in place (it has no machinery); " +
 		"migrate in-process to another mode with AdaptTarget.Mode, use Shared with Threads=1, or adaptation by restart"
@@ -25,10 +25,9 @@ const (
 
 // adaptNow applies an in-place adaptation at safe point sp. Inside a region
 // it reshapes the thread team; at rank level it reshapes the world. Targets
-// the executor cannot honour abort the run loudly: the legacy config fields
-// are rejected statically in normalize, but policy- and RequestAdapt-
-// sourced targets are only seen here. (Targets with a different Mode never
-// reach this point — SafePoint routes them to migrateCheckpoint.)
+// the executor cannot honour abort the run loudly. (Targets with a
+// different Mode never reach this point — SafePoint routes them to
+// migrateCheckpoint.)
 func (c *Ctx) adaptNow(sp uint64, t AdaptTarget) {
 	e := c.eng
 	if t.Threads > 0 || t.Procs > 0 {

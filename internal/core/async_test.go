@@ -176,7 +176,7 @@ func TestAsyncStopSnapshotSynchronous(t *testing.T) {
 		Mode: Shared, Threads: 2, AppName: "stencil",
 		Modules: modulesFor(Shared),
 		Store:   store, CheckpointEvery: 2, AsyncCheckpoint: true,
-		StopCheckpointAt: 7,
+		Policy: StopAt(7),
 	}
 	eng, err := New(cfg, func() App { return newStencil(tN, tIters, sink) })
 	if err != nil {
@@ -196,7 +196,7 @@ func TestAsyncStopSnapshotSynchronous(t *testing.T) {
 
 	ref, _ := runStencil(t, Config{Mode: Sequential})
 	cfg2 := cfg
-	cfg2.StopCheckpointAt = 0
+	cfg2.Policy = nil
 	eng2, err := New(cfg2, func() App { return newStencil(tN, tIters, sink) })
 	if err != nil {
 		t.Fatal(err)

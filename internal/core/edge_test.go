@@ -41,7 +41,7 @@ func TestHybridThreadAdaptation(t *testing.T) {
 	ref, _ := runStencil(t, Config{Mode: Sequential})
 	got, rep := runStencil(t, Config{
 		Mode: Hybrid, Procs: 2, Threads: 2,
-		AdaptAtSafePoint: 6, AdaptTo: AdaptTarget{Threads: 4},
+		Policy: AdaptAt(6, AdaptTarget{Threads: 4}),
 	})
 	gridsEqual(t, "hybrid-thread-adapt", ref, got)
 	if !rep.Adapted {
@@ -168,10 +168,10 @@ func TestCheckpointAfterAdaptation(t *testing.T) {
 	factory := func() App { return newStencil(tN, tIters, sink) }
 	cfg := Config{
 		Mode: Distributed, Procs: 2, AppName: "stencil",
-		Modules:          modulesFor(Distributed),
-		CheckpointDir:    dir,
-		CheckpointEvery:  4, // checkpoints at 4 and 8 bracket the adaptation
-		AdaptAtSafePoint: 6, AdaptTo: AdaptTarget{Procs: 4},
+		Modules:         modulesFor(Distributed),
+		CheckpointDir:   dir,
+		CheckpointEvery: 4, // checkpoints at 4 and 8 bracket the adaptation
+		Policy:          AdaptAt(6, AdaptTarget{Procs: 4}),
 		FailAtSafePoint: 10,
 	}
 	eng, _ := New(cfg, factory)
@@ -181,8 +181,7 @@ func TestCheckpointAfterAdaptation(t *testing.T) {
 	// Recover on yet another world size from the post-adaptation snapshot.
 	rec := cfg
 	rec.FailAtSafePoint = 0
-	rec.AdaptAtSafePoint = 0
-	rec.AdaptTo = AdaptTarget{}
+	rec.Policy = nil
 	rec.Procs = 3
 	eng2, err := New(rec, factory)
 	if err != nil {

@@ -225,9 +225,7 @@ type Config struct {
 	DeltaCompactEvery int
 
 	// Policy, when non-nil, is consulted at every safe point to decide
-	// run-time adaptations and checkpoint-and-stop (see AdaptPolicy). It
-	// composes with the legacy one-shot fields below: all are folded into
-	// one chained policy, legacy fields first.
+	// run-time adaptations and checkpoint-and-stop (see AdaptPolicy).
 	Policy AdaptPolicy
 	// OnAdapt, when non-nil, is invoked once per applied reshaping — an
 	// in-place thread/world resize or an in-process cross-mode migration —
@@ -238,22 +236,10 @@ type Config struct {
 	// it to learn when a requested resize actually landed and re-budget.
 	OnAdapt func(sp uint64, mode Mode, threads, procs int)
 	// Driver, when non-nil, is started when the run starts and stopped
-	// when it ends. It models an external resource manager feeding
+	// when it ends. It is an external resource manager feeding
 	// RequestAdapt/RequestStop from outside the deterministic policy path
-	// (ppar/internal/adapt.Manager implements it).
+	// (ppar/internal/autoscale.AutoScale implements it).
 	Driver AdaptDriver
-
-	// AdaptAt schedules a run-time adaptation at an absolute safe point.
-	//
-	// Deprecated-style sugar: equivalent to Policy: AdaptAt(sp, AdaptTo).
-	AdaptAtSafePoint uint64
-	// AdaptTo is the target applied at AdaptAtSafePoint.
-	AdaptTo AdaptTarget
-	// StopCheckpointAt takes a canonical checkpoint at the given safe
-	// point and stops the run — the paper's adaptation-by-restart: the
-	// caller relaunches a differently-configured engine which replays
-	// from the snapshot (Figures 6 and 7). Sugar for Policy: StopAt(sp).
-	StopCheckpointAt uint64
 
 	// FailAtSafePoint injects a failure (process death) at the given safe
 	// point, on rank FailRank in distributed modes. The ledger is left
@@ -291,25 +277,6 @@ func (c *Config) normalize() error {
 	if c.Overdecompose <= 0 {
 		c.Overdecompose = 8
 	}
-	if c.AdaptTo.Mode != 0 && !validMode(c.AdaptTo.Mode) {
-		return fmt.Errorf("core: AdaptTo requests migration to unknown mode %d", int(c.AdaptTo.Mode))
-	}
-	// migrates reports whether the scheduled one-shot target leaves the
-	// current executor behind; a migration rebuilds the machinery from
-	// scratch, so the in-place resizing constraints below do not apply.
-	migrates := c.AdaptTo.Mode != 0 && c.AdaptTo.Mode != c.Mode
-	if c.Mode == Sequential && c.AdaptAtSafePoint > 0 && !migrates {
-		return errors.New(seqCannotResizeMsg)
-	}
-	if c.Mode == Hybrid && c.AdaptTo.Procs > 0 && !migrates {
-		return errors.New(hybridCannotResizeMsg)
-	}
-	if c.Mode == Task && c.AdaptTo.Procs > 0 && c.AdaptTo.Procs != c.Procs && !migrates {
-		return errors.New(taskCannotResizeWorldMsg)
-	}
-	if c.TCP && c.AdaptTo.Procs > 0 && !migrates {
-		return errors.New(tcpCannotResizeMsg)
-	}
 	if c.DeltaCheckpoint && c.CheckpointEvery == 0 {
 		// Silently taking zero checkpoints would make the option a no-op;
 		// incremental checkpointing only means something periodically.
@@ -333,7 +300,7 @@ type Report struct {
 	ReplayTime  time.Duration `json:"replay_time"` // run start -> replay target reached (excl. load)
 	Elapsed     time.Duration `json:"elapsed"`     // total wall time of Run
 	Adapted     bool          `json:"adapted"`     // a run-time adaptation was applied
-	Stopped     bool          `json:"stopped"`     // stopped by StopCheckpointAt
+	Stopped     bool          `json:"stopped"`     // checkpointed and stopped (StopAt policy, RequestStop or cancellation)
 	StoppedAt   uint64        `json:"stopped_at"`
 	Failed      bool          `json:"failed"`    // an injected failure occurred
 	Restarted   bool          `json:"restarted"` // this run replayed from a checkpoint
@@ -425,7 +392,6 @@ type Engine struct {
 	cfg     Config
 	factory Factory
 	adv     *adviceTable
-	policy  AdaptPolicy
 
 	store   ckpt.Store
 	sink    *ckptSink     // chain-aware persist side (seq assignment, compaction)
@@ -490,19 +456,6 @@ func New(cfg Config, factory Factory) (*Engine, error) {
 		adv:     mergeModules(cfg.Modules),
 		crits:   map[string]*sync.Mutex{},
 	}
-	// Fold the legacy one-shot trigger fields and the pluggable policy
-	// into one chain (legacy triggers first, matching their old priority).
-	var ps []AdaptPolicy
-	if cfg.StopCheckpointAt > 0 {
-		ps = append(ps, StopAt(cfg.StopCheckpointAt))
-	}
-	if cfg.AdaptAtSafePoint > 0 {
-		ps = append(ps, AdaptAt(cfg.AdaptAtSafePoint, cfg.AdaptTo))
-	}
-	if cfg.Policy != nil {
-		ps = append(ps, cfg.Policy)
-	}
-	e.policy = Policies(ps...)
 	e.curMode = cfg.Mode
 	e.curThreads.Store(int64(cfg.Threads))
 	e.curProcs.Store(int64(cfg.Procs))
@@ -524,14 +477,21 @@ func (e *Engine) Progress() (sp uint64, mode Mode, threads, procs int) {
 		int(e.curThreads.Load()), int(e.curProcs.Load())
 }
 
-// RequestAdapt asks for a run-time adaptation; it is applied at the next
-// safe point the coordinator reaches (Shared mode) — the path a resource
-// manager uses when "availability of new resources" is detected (§I).
-// Distributed adaptation must be scheduled at an absolute safe point via an
-// AdaptPolicy (AdaptAt, Schedule, ...), because ranks only synchronise
-// their safe-point counters at collectives. A target with Stop set is a
-// graceful checkpoint-and-stop request (see RequestStop); one with Mode set
-// is an in-process cross-mode migration (see AdaptTarget.Mode).
+// RequestAdapt asks for a run-time adaptation — the path a resource
+// manager uses when "availability of new resources" is detected (§I). The
+// coordinator schedules it for the safe point after the one where it
+// notices the request (a request made before Run lands at safe point 2).
+// Ranks only synchronise their safe-point counters at collectives, so in
+// comm-coupled modes stops, migrations and world resizes are aligned to the
+// checkpoint cadence instead, and a world resize is serviced as an
+// in-process relaunch into the same mode (it counts in Report.Migrations);
+// an AdaptPolicy (AdaptAt, Schedule, ...) resizes the world in place.
+// Without a checkpoint cadence the service point is the next safe point,
+// which a rank with no collective since may already have passed: its later
+// rows then reach the relaunch snapshot. A
+// target with Stop set is a graceful checkpoint-and-stop request (see
+// RequestStop); one with Mode set is an in-process cross-mode migration
+// (see AdaptTarget.Mode).
 func (e *Engine) RequestAdapt(t AdaptTarget) {
 	e.pending.Store(&t)
 }

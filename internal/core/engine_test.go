@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -199,8 +200,7 @@ func TestThreadAdaptation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got, rep := runStencil(t, Config{
 				Mode: Shared, Threads: tc.from,
-				AdaptAtSafePoint: 6,
-				AdaptTo:          AdaptTarget{Threads: tc.to},
+				Policy: AdaptAt(6, AdaptTarget{Threads: tc.to}),
 			})
 			gridsEqual(t, tc.name, ref, got)
 			if tc.from != tc.to && !rep.Adapted {
@@ -246,8 +246,7 @@ func TestProcAdaptation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got, rep := runStencil(t, Config{
 				Mode: Distributed, Procs: tc.from,
-				AdaptAtSafePoint: 6,
-				AdaptTo:          AdaptTarget{Procs: tc.to},
+				Policy: AdaptAt(6, AdaptTarget{Procs: tc.to}),
 			})
 			gridsEqual(t, tc.name, ref, got)
 			if !rep.Adapted {
@@ -281,7 +280,7 @@ func TestStopRestartAcrossModes(t *testing.T) {
 			from.AppName = "stencil"
 			from.Modules = modulesFor(from.Mode)
 			from.CheckpointDir = dir
-			from.StopCheckpointAt = 7
+			from.Policy = StopAt(7)
 			eng, err := New(from, func() App { return newStencil(tN, tIters, sink) })
 			if err != nil {
 				t.Fatal(err)
@@ -326,20 +325,20 @@ func TestInProcessMigrationStencil(t *testing.T) {
 		cfg  Config
 	}{
 		{"smp-to-dist", Config{Mode: Shared, Threads: 2, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Distributed, Procs: 3}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Distributed, Procs: 3})}},
 		{"dist-to-smp", Config{Mode: Distributed, Procs: 3, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Shared, Threads: 3}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Shared, Threads: 3})}},
 		{"seq-to-hybrid", Config{Mode: Sequential, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Hybrid, Procs: 2, Threads: 2}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Hybrid, Procs: 2, Threads: 2})}},
 		{"hybrid-to-seq", Config{Mode: Hybrid, Procs: 2, Threads: 2, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Sequential}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Sequential})}},
 		{"tcp-to-smp", Config{Mode: Distributed, Procs: 2, TCP: true, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Shared, Threads: 2}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Shared, Threads: 2})}},
 		// With TCP configured, the migration target's world is built over a
 		// fresh TCP transport — the fixed-world constraint only ever bound
 		// in-place resizing, not executor rebuilds.
 		{"smp-to-tcp", Config{Mode: Shared, Threads: 2, TCP: true, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Distributed, Procs: 2}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Distributed, Procs: 2})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,14 +410,11 @@ func TestConfigValidation(t *testing.T) {
 		_, err := New(cfg, func() App { return newStencil(4, 1, &resultSink{}) })
 		return err
 	}
-	if err := mk(Config{Mode: Sequential, AdaptAtSafePoint: 1, AdaptTo: AdaptTarget{Threads: 2}}); err == nil {
-		t.Error("sequential runtime adaptation accepted")
+	if err := mk(Config{Mode: Mode(99)}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Errorf("unknown mode accepted: %v", err)
 	}
-	if err := mk(Config{Mode: Hybrid, AdaptAtSafePoint: 1, AdaptTo: AdaptTarget{Procs: 2}}); err == nil {
-		t.Error("hybrid world resizing accepted")
-	}
-	if err := mk(Config{Mode: Distributed, TCP: true, AdaptAtSafePoint: 1, AdaptTo: AdaptTarget{Procs: 4}}); err == nil {
-		t.Error("TCP world resizing accepted")
+	if err := mk(Config{Mode: Shared, DeltaCheckpoint: true}); err == nil {
+		t.Error("delta checkpointing without a cadence accepted")
 	}
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("nil factory accepted")

@@ -6,10 +6,10 @@
 // Parallelisation, checkpointing and adaptation behaviour is attached to
 // those *names* by Module values kept in separate source files — the Go
 // equivalent of the paper's separately-woven aspect modules (Go has no AOP,
-// so the join points are explicit; see DESIGN.md). With no modules plugged
-// and Sequential mode, Call is a direct function call and For a plain loop:
-// the base code runs strictly sequentially, exactly as the paper's
-// "unplugged" deployment.
+// so the join points are explicit; see DESIGN.md, "Programming model").
+// With no modules plugged and Sequential mode, Call is a direct function
+// call and For a plain loop: the base code runs strictly sequentially,
+// exactly as the paper's "unplugged" deployment.
 //
 // The same base code then runs:
 //

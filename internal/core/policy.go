@@ -52,12 +52,9 @@ type RunStats struct {
 // its parallelism or checkpoint-and-stop. Decide must be a pure function of
 // its argument (every line of execution evaluates it independently and all
 // must agree); return the zero AdaptTarget to leave the run unchanged.
-//
-// Policies subsume the former one-shot Config fields: AdaptAtSafePoint +
-// AdaptTo is AdaptAt, StopCheckpointAt is StopAt. Time-driven, external or
-// otherwise non-deterministic decisions must instead go through
-// Engine.RequestAdapt / Engine.RequestStop, which serialise the request
-// through the coordinator.
+// Time-driven, external or otherwise non-deterministic decisions must
+// instead go through Engine.RequestAdapt / Engine.RequestStop, which
+// serialise the request through the coordinator.
 type AdaptPolicy interface {
 	Decide(RunStats) AdaptTarget
 }
@@ -68,8 +65,7 @@ type PolicyFunc func(RunStats) AdaptTarget
 // Decide calls f.
 func (f PolicyFunc) Decide(s RunStats) AdaptTarget { return f(s) }
 
-// AdaptAt returns a policy that requests target exactly at safe point sp —
-// the pluggable form of the former Config.AdaptAtSafePoint/AdaptTo pair.
+// AdaptAt returns a policy that requests target exactly at safe point sp.
 func AdaptAt(sp uint64, target AdaptTarget) AdaptPolicy {
 	return PolicyFunc(func(s RunStats) AdaptTarget {
 		if s.SafePoint == sp {
@@ -80,8 +76,7 @@ func AdaptAt(sp uint64, target AdaptTarget) AdaptPolicy {
 }
 
 // StopAt returns a policy that checkpoints and stops the run exactly at
-// safe point sp — the pluggable form of the former Config.StopCheckpointAt
-// (adaptation by restart, Figures 6 and 7).
+// safe point sp — adaptation by restart (Figures 6 and 7).
 func StopAt(sp uint64) AdaptPolicy {
 	return PolicyFunc(func(s RunStats) AdaptTarget {
 		if s.SafePoint == sp {
@@ -98,9 +93,9 @@ type AdaptStep struct {
 }
 
 // Schedule returns a policy that replays a fixed sequence of reshapings
-// keyed by safe point — the deterministic analogue of the wall-clock
-// resource-manager simulation in ppar/internal/adapt, usable in every mode
-// (including distributed, where wall-clock triggers cannot be agreed on).
+// keyed by safe point — a resource-manager trace replayed deterministically,
+// usable in every mode (including distributed, where wall-clock triggers
+// cannot be agreed on).
 func Schedule(steps ...AdaptStep) AdaptPolicy {
 	return PolicyFunc(func(s RunStats) AdaptTarget {
 		for _, st := range steps {

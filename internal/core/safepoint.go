@@ -62,12 +62,11 @@ func (c *Ctx) SafePoint() {
 	// Policy-driven adaptation: Decide is a pure function of deterministic
 	// run stats, so every line of execution (and, in hybrid deployments,
 	// every rank's team) triggers independently without shared mutable
-	// state — exactly like the former config-scheduled triggers it
-	// subsumes. A target whose Mode differs from the running executor's is
-	// an in-process migration; one naming the current mode (or none) is an
+	// state. A target whose Mode differs from the running executor's is an
+	// in-process migration; one naming the current mode (or none) is an
 	// in-place reshaping.
 	fired := false
-	if p := e.policy; p != nil {
+	if p := e.cfg.Policy; p != nil {
 		switch t := p.Decide(c.runStats(sp)); {
 		case t.Stop:
 			c.stopCheckpoint(sp)
@@ -87,6 +86,10 @@ func (c *Ctx) SafePoint() {
 				c.stopCheckpoint(sp)
 			case t.Mode != 0 && t.Mode != e.curMode:
 				c.migrateCheckpoint(sp, *t, t)
+			case c.relaunchResize(*t):
+				rt := *t
+				rt.Mode = e.curMode
+				c.migrateCheckpoint(sp, rt, t)
 			default:
 				c.adaptNow(sp, *t)
 			}
@@ -121,11 +124,13 @@ func (c *Ctx) SafePoint() {
 				// orders the schedule before every rank's arrival.)
 				// Racing ranks that never see the request unwind when
 				// the master tears the transport down on its way out
-				// (worldCore.rankMain). In-place resizes keep the
-				// sp+1 schedule: their service leaves the run live, so
-				// a misaligned collective cannot strand a peer.
+				// (worldCore.rankMain). A world resize would strand
+				// such a rank in place — its peers wait for it in the
+				// resize barrier — so it is serviced as a same-mode
+				// relaunch and aligned like a migration. Thread resizes
+				// keep the sp+1 schedule.
 				at := sp + 1
-				if c.comm != nil && (t.Stop || (t.Mode != 0 && t.Mode != e.curMode)) {
+				if c.comm != nil && (t.Stop || (t.Mode != 0 && t.Mode != e.curMode) || c.relaunchResize(*t)) {
 					if due := e.nextDueAfter(sp); due != 0 {
 						at = due
 						if e.cfg.ShardCheckpoints {
@@ -153,6 +158,21 @@ func (c *Ctx) SafePoint() {
 	if e.dueAt(sp) {
 		c.checkpoint(sp)
 	}
+}
+
+// relaunchResize reports whether an asynchronously requested target is a
+// same-mode world resize this executor can honour. Ranks synchronise at
+// collectives, not safe points, so an in-place resize at a scheduled safe
+// point would strand any rank that had already run past it; such a target
+// is serviced as an in-process migration into the same mode instead
+// (targets the executor rejects fall through to adaptNow, which aborts
+// loudly).
+func (c *Ctx) relaunchResize(t AdaptTarget) bool {
+	if c.comm == nil || t.Procs <= 0 || (t.Mode != 0 && t.Mode != c.eng.curMode) {
+		return false
+	}
+	n := c.Procs()
+	return t.Procs != n && c.eng.exec.ResizeErr(t, n) == nil
 }
 
 // runStats assembles the deterministic policy view at safe point sp. Every

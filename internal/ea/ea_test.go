@@ -94,7 +94,7 @@ func TestAdaptationMidEvolution(t *testing.T) {
 	ref := runGA(t, core.Config{Mode: core.Sequential}, p, 40, 15)
 	got := runGA(t, core.Config{
 		Mode: core.Distributed, Procs: 2,
-		AdaptAtSafePoint: 8, AdaptTo: core.AdaptTarget{Procs: 4},
+		Policy: core.AdaptAt(8, core.AdaptTarget{Procs: 4}),
 	}, p, 40, 15)
 	if got.Best != ref.Best {
 		t.Fatalf("adapted best=%v want %v", got.Best, ref.Best)

@@ -10,7 +10,7 @@
 //     generators exercise every code path the figure is about.
 //
 // The table each generator returns has the same rows/series as the paper's
-// figure; EXPERIMENTS.md records the comparison.
+// figure; cmd/ppbench prints them side by side.
 package figures
 
 import (
@@ -25,7 +25,6 @@ import (
 	"ppar/internal/jgf/refimpl"
 	"ppar/internal/metrics"
 	"ppar/internal/perfmodel"
-	"ppar/internal/team"
 )
 
 // Paper-scale workload (JGF SOR size C-ish, as §V uses).
@@ -311,7 +310,7 @@ func Fig6Real(scale RealScale) (*metrics.Table, error) {
 	cfg := core.Config{
 		Mode: core.Distributed, Procs: 2, AppName: "fig6-sor",
 		Modules: jgf.SORModules(core.Distributed),
-		Store:   scale.Store, CheckpointDir: scale.Dir, StopCheckpointAt: stopAt,
+		Store:   scale.Store, CheckpointDir: scale.Dir, Policy: core.StopAt(stopAt),
 	}
 	eng, err := core.New(cfg, factory)
 	if err != nil {
@@ -322,7 +321,7 @@ func Fig6Real(scale RealScale) (*metrics.Table, error) {
 	}
 	rec.Break()
 	wider := cfg
-	wider.StopCheckpointAt = 0
+	wider.Policy = nil
 	wider.Procs = 8
 	eng2, err := core.New(wider, factory)
 	if err != nil {
@@ -371,8 +370,8 @@ func Fig7Real(scale RealScale) (*metrics.Table, error) {
 		// Run-time adaptation.
 		cfg := core.Config{
 			Mode: core.Shared, Threads: from, AppName: "fig7-sor",
-			Modules:          jgf.SORModules(core.Shared),
-			AdaptAtSafePoint: adaptAt, AdaptTo: core.AdaptTarget{Threads: to},
+			Modules: jgf.SORModules(core.Shared),
+			Policy:  core.AdaptAt(adaptAt, core.AdaptTarget{Threads: to}),
 		}
 		rep, _, err := runReal(cfg, scale.N, scale.Iters)
 		if err != nil {
@@ -384,7 +383,7 @@ func Fig7Real(scale RealScale) (*metrics.Table, error) {
 		first := core.Config{
 			Mode: core.Shared, Threads: from, AppName: "fig7-sor",
 			Modules: jgf.SORModules(core.Shared),
-			Store:   scale.Store, CheckpointDir: scale.Dir, StopCheckpointAt: adaptAt,
+			Store:   scale.Store, CheckpointDir: scale.Dir, Policy: core.StopAt(adaptAt),
 		}
 		start := time.Now()
 		eng, err := core.New(first, factory)
@@ -395,7 +394,7 @@ func Fig7Real(scale RealScale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("fig7: first run did not stop")
 		}
 		second := first
-		second.StopCheckpointAt = 0
+		second.Policy = nil
 		second.Threads = to
 		eng2, err := core.New(second, factory)
 		if err != nil {
@@ -424,8 +423,10 @@ func Fig8Model() *metrics.Table {
 	return t
 }
 
-// Fig8Real measures real over-decomposed execution (goroutine tasks with a
-// tasks-wide barrier per iteration).
+// Fig8Real measures real over-decomposed execution: the pluggable SOR on
+// the engine's Task executor, every sweep split into factor chunks per
+// worker and scheduled by work stealing. Every factor must reproduce the
+// same grid.
 func Fig8Real(scale RealScale) (*metrics.Table, error) {
 	pe := scale.MaxPE / 2
 	if pe < 2 {
@@ -435,35 +436,24 @@ func Fig8Real(scale RealScale) (*metrics.Table, error) {
 		fmt.Sprintf("Figure 8 — Over-decomposition on %d PEs (real, %dx%d)", pe, scale.N, scale.N),
 		"factor", "tasks", "time", "slowdown")
 	var base time.Duration
+	var want float64
 	for _, of := range []int{1, 2, 4, 8, 16} {
-		tasks := pe * of
-		g := jgf.NewSOR(scale.N, scale.Iters, nil)
-		rows := scale.N - 2
-		start := time.Now()
-		team.OverDecompose(tasks, pe, scale.Iters, func(task, iter int) {
-			lo, hi := team.StaticSpan(task, tasks, 1, 1+rows)
-			for colour := 0; colour < 2; colour++ {
-				sorSweepRows(g, lo, hi, colour)
-			}
-		})
-		d := time.Since(start)
-		if of == 1 {
-			base = d
+		cfg := core.Config{
+			Mode: core.Task, Threads: pe, Overdecompose: of, AppName: "fig8-sor",
+			Modules: jgf.SORModules(core.Task),
 		}
-		t.AddRow(of, tasks, d, fmt.Sprintf("%.2fx", float64(d)/float64(base)))
+		rep, gtotal, err := runReal(cfg, scale.N, scale.Iters)
+		if err != nil {
+			return nil, fmt.Errorf("fig8 factor %d: %w", of, err)
+		}
+		if of == 1 {
+			base, want = rep.Elapsed, gtotal
+		} else if gtotal != want {
+			return nil, fmt.Errorf("fig8 factor %d: Gtotal %v, factor 1 gave %v", of, gtotal, want)
+		}
+		t.AddRow(of, pe*of, rep.Elapsed, fmt.Sprintf("%.2fx", float64(rep.Elapsed)/float64(base)))
 	}
 	return t, nil
-}
-
-func sorSweepRows(g *jgf.SOR, lo, hi, colour int) {
-	omega, oneMinus := g.Omega, 1-g.Omega
-	for i := lo; i < hi; i++ {
-		row := g.G[i]
-		up, down := g.G[i-1], g.G[i+1]
-		for j := 1 + (i+colour)%2; j < g.N-1; j += 2 {
-			row[j] = omega*0.25*(up[j]+down[j]+row[j-1]+row[j+1]) + oneMinus*row[j]
-		}
-	}
 }
 
 // Fig9Model regenerates "Overhead of adaptability": JGF Sequential /

@@ -80,8 +80,8 @@ func TestSORAdaptationMatchesReference(t *testing.T) {
 	res := &SORResult{}
 	cfg := core.Config{
 		Mode: core.Shared, Threads: 2, AppName: "sor",
-		Modules:          SORModules(core.Shared),
-		AdaptAtSafePoint: 5, AdaptTo: core.AdaptTarget{Threads: 4},
+		Modules: SORModules(core.Shared),
+		Policy:  core.AdaptAt(5, core.AdaptTarget{Threads: 4}),
 	}
 	rep := run(t, cfg, func() core.App { return NewSOR(32, 10, res) })
 	if !rep.Adapted {
@@ -197,25 +197,6 @@ func TestLUFactRestart(t *testing.T) {
 	}
 	if !res.OK {
 		t.Fatalf("restarted LU residual %v too large", res.Residual)
-	}
-}
-
-func TestMolDynAllModes(t *testing.T) {
-	var refK, refP float64
-	for i, cfg := range deployments() {
-		cfg.AppName = "md"
-		cfg.Modules = MolDynModules(cfg.Mode)
-		res := &MolDynResult{}
-		run(t, cfg, func() core.App { return NewMolDyn(32, 4, res) })
-		if i == 0 {
-			refK, refP = res.Kinetic, res.Potential
-			if refK == 0 {
-				t.Fatal("zero kinetic energy")
-			}
-		} else if res.Kinetic != refK || res.Potential != refP {
-			t.Errorf("%v/%dT/%dP: E=(%v,%v) want (%v,%v)",
-				cfg.Mode, cfg.Threads, cfg.Procs, res.Kinetic, res.Potential, refK, refP)
-		}
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // trailing-submatrix update parallelises over rows. The shared-memory
 // module work-shares that update; the distributed deployment replicates the
 // computation (the classic JGF MPI LUFact broadcasts the pivot row anyway,
-// and at our scale replication is the honest baseline — see DESIGN.md).
+// and at our scale replication is the honest baseline — see DESIGN.md,
+// "Kernels").
 type LUFact struct {
 	// A is the matrix (safe data: a failure resumes mid-factorisation).
 	A [][]float64

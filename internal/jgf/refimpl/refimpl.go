@@ -74,24 +74,7 @@ func Sequential(n, iters int) float64 {
 func Threads(n, iters, nthreads int) float64 {
 	g := newGrid(n)
 	var wg sync.WaitGroup
-	barrier := make(chan struct{})
-	arrive := make(chan struct{}, nthreads)
-	// Simple coordinator-based barrier keeps the port honest to the JGF
-	// thread version's structure without importing the team substrate.
-	syncAll := func() {
-		arrive <- struct{}{}
-		<-barrier
-	}
-	go func() {
-		for round := 0; round < iters*2; round++ {
-			for k := 0; k < nthreads; k++ {
-				<-arrive
-			}
-			for k := 0; k < nthreads; k++ {
-				barrier <- struct{}{}
-			}
-		}
-	}()
+	bar := newBarrier(nthreads)
 	rowsPer := (n + nthreads - 1) / nthreads
 	for t := 0; t < nthreads; t++ {
 		wg.Add(1)
@@ -104,14 +87,47 @@ func Threads(n, iters, nthreads int) float64 {
 			}
 			for it := 0; it < iters; it++ {
 				sweepRows(g, n, lo, hi, 0, 1.25)
-				syncAll()
+				bar.wait()
 				sweepRows(g, n, lo, hi, 1, 1.25)
-				syncAll()
+				bar.wait()
 			}
 		}(t)
 	}
 	wg.Wait()
 	return gtotal(g)
+}
+
+// barrier is a reusable generation-counted barrier, hand-rolled so the port
+// stays honest to the JGF thread version without importing the team
+// substrate. The last of n arrivals opens the current generation, so a fast
+// thread re-arriving for the next sweep waits on the next generation and
+// can never take a slower peer's release.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n, here int
+	gen     uint64
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond.L = &b.mu
+	return b
+}
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	gen := b.gen
+	if b.here++; b.here == b.n {
+		b.here = 0
+		b.gen++
+		b.cond.Broadcast()
+		return
+	}
+	for gen == b.gen {
+		b.cond.Wait()
+	}
 }
 
 // MPI is the stock message-passing SOR: block rows, halo exchange per

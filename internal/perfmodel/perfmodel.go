@@ -17,7 +17,7 @@
 //
 // Absolute values are calibrated to the same order of magnitude as the
 // paper's testbed, but only the *shape* — who wins, by what factor, where
-// curves cross — is claimed (see EXPERIMENTS.md).
+// curves cross — is claimed (see DESIGN.md, "Evaluation").
 package perfmodel
 
 import (

@@ -155,18 +155,3 @@ func TestForTaskAfterResize(t *testing.T) {
 		}
 	}
 }
-
-// The deprecated OverDecompose shim still covers every (task, iter) pair
-// exactly once on top of ForTask.
-func TestOverDecomposeShimCoverage(t *testing.T) {
-	const tasks, iters = 37, 5
-	var counts [tasks * iters]atomic.Int64
-	OverDecompose(tasks, 3, iters, func(task, iter int) {
-		counts[iter*tasks+task].Add(1)
-	})
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("pair %d executed %d times", i, c)
-		}
-	}
-}

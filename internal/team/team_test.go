@@ -384,28 +384,6 @@ func TestStaticSpanProperties(t *testing.T) {
 	}
 }
 
-func TestOverDecompose(t *testing.T) {
-	var runs atomic.Int64
-	var inFlight, maxInFlight atomic.Int64
-	OverDecompose(16, 4, 5, func(task, iter int) {
-		cur := inFlight.Add(1)
-		for {
-			m := maxInFlight.Load()
-			if cur <= m || maxInFlight.CompareAndSwap(m, cur) {
-				break
-			}
-		}
-		runs.Add(1)
-		inFlight.Add(-1)
-	})
-	if runs.Load() != 16*5 {
-		t.Fatalf("runs = %d, want 80", runs.Load())
-	}
-	if maxInFlight.Load() > 4 {
-		t.Fatalf("max in-flight = %d, exceeds 4 PEs", maxInFlight.Load())
-	}
-}
-
 func TestScheduleString(t *testing.T) {
 	for s, want := range map[Schedule]string{Static: "static", StaticChunk: "static-chunk", Dynamic: "dynamic", Guided: "guided"} {
 		if s.String() != want {
@@ -425,5 +403,4 @@ func TestInvalidSizes(t *testing.T) {
 	}
 	mustPanic("zero team", func() { New(0) })
 	mustPanic("zero barrier", func() { NewBarrier(0) })
-	mustPanic("overdecompose", func() { OverDecompose(0, 1, 1, nil) })
 }

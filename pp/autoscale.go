@@ -5,7 +5,7 @@ import (
 	"ppar/internal/core"
 )
 
-// AutoScale is the closed-loop elastic autoscaler: an AdaptDriver that
+// AutoScale is the closed-loop elastic autoscaler: an external driver that
 // fits per-(Mode, Threads, Procs) iteration-time and efficiency curves
 // from the live run — the analytic performance model as prior, scheduler
 // queue-pressure counters as the skew signal — and requests resizes or
@@ -29,7 +29,9 @@ type AutoScaleShape = autoscale.Shape
 func NewAutoScale(cfg AutoScaleConfig) *AutoScale { return autoscale.New(cfg) }
 
 // WithAutoScale attaches a feedback autoscaler as the run's adaptation
-// driver — shorthand for WithAdaptManager(a) that reads as what it does.
+// driver: it is started when the run starts, feeds Engine.RequestAdapt
+// from outside the deterministic policy path, and is stopped when the run
+// ends.
 func WithAutoScale(a *AutoScale) Option {
 	return func(c *core.Config) { c.Driver = a }
 }

@@ -201,11 +201,21 @@ func TestMigrationThenKillRestartsInThirdMode(t *testing.T) {
 }
 
 // TestMigrationViaRequestAdapt drives the migration through the
-// asynchronous coordinator path instead of a deterministic policy.
+// asynchronous coordinator path instead of a deterministic policy — what a
+// resource manager's immediate grant reduces to: RequestAdapt called before
+// Run is noticed at the first safe point and migrates the run at the one it
+// schedules next.
 func TestMigrationViaRequestAdapt(t *testing.T) {
 	want := run(t, pp.Sequential)
 	var total float64
-	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2))
+	var at []uint64
+	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
+		pp.WithAdaptNotify(func(sp uint64, mode pp.Mode, _, procs int) {
+			if mode != pp.Distributed || procs != 3 {
+				t.Errorf("landed on %v/%dP, want dist/3P", mode, procs)
+			}
+			at = append(at, sp)
+		}))
 	eng.RequestAdapt(pp.AdaptTarget{Mode: pp.Distributed, Procs: 3})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -213,8 +223,8 @@ func TestMigrationViaRequestAdapt(t *testing.T) {
 	if total != want {
 		t.Fatalf("total=%v want %v", total, want)
 	}
-	if rep := eng.Report(); rep.Migrations != 1 {
-		t.Fatalf("RequestAdapt migration not applied: %+v", rep)
+	if rep := eng.Report(); rep.Migrations != 1 || len(at) != 1 || at[0] != 2 {
+		t.Fatalf("migration at safe points %v, want exactly [2]: %+v", at, rep)
 	}
 }
 
@@ -318,29 +328,6 @@ func TestSharedWorldResizeAbortsLoudly(t *testing.T) {
 	}
 }
 
-// TestMigrationViaAdaptManager drives the migration from a simulated
-// resource manager: a Migrate event fires immediately, so the coordinator
-// schedules the executor swap at its next safe point.
-func TestMigrationViaAdaptManager(t *testing.T) {
-	want := run(t, pp.Sequential)
-	var total float64
-	mgr := pp.NewAdaptManager(pp.Migrate(0, pp.Distributed, pp.AdaptTarget{Procs: 3}))
-	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
-		pp.WithAdaptManager(mgr))
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if total != want {
-		t.Fatalf("total=%v want %v", total, want)
-	}
-	if rep := eng.Report(); rep.Migrations != 1 {
-		t.Fatalf("manager migration not applied: %+v", rep)
-	}
-	if fired := mgr.Fired(); len(fired) != 1 {
-		t.Fatalf("manager fired %d events, want 1", len(fired))
-	}
-}
-
 // TestMigrationHammer races RequestStop against an async-delta-checkpointing
 // run that migrates smp -> dist mid-run (run under -race in CI). Whenever
 // the run stops — before, during or after the migration — the drain-before-
@@ -399,46 +386,103 @@ func TestMigrationHammer(t *testing.T) {
 	}
 }
 
-// TestMigrationTargetValidation pins the static rejections: an AdaptTo.Mode
-// outside the four deployments fails at New, while formerly rejected
-// combinations that a migration CAN honour are now accepted.
+// TestMigrationTargetValidation pins the run-time rejections: a target
+// the engine cannot honour aborts the run when its policy fires, with a
+// message naming the supported alternative, while combinations that a
+// migration CAN honour run to the right result.
 func TestMigrationTargetValidation(t *testing.T) {
-	var total float64
-	_, err := pp.New(func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} },
-		pp.WithName("pp-counter"), pp.WithMode(pp.Shared), pp.WithThreads(2),
-		pp.WithModules(migModules()...))
-	if err != nil {
-		t.Fatal(err)
+	want := run(t, pp.Sequential)
+	cases := []struct {
+		name   string
+		mode   pp.Mode
+		opts   []pp.Option
+		target pp.AdaptTarget
+		abort  string // "" means the run must complete
+	}{
+		{"unknown-mode", pp.Shared, []pp.Option{pp.WithThreads(2)},
+			pp.AdaptTarget{Mode: pp.Mode(99)}, "unknown mode"},
+		{"seq-resize", pp.Sequential, nil,
+			pp.AdaptTarget{Threads: 2}, "Sequential mode cannot adapt in place"},
+		{"hybrid-world-resize", pp.Hybrid, []pp.Option{pp.WithProcs(2), pp.WithThreads(2)},
+			pp.AdaptTarget{Procs: 4}, "not in-place world resizing"},
+		{"tcp-world-resize", pp.Distributed, []pp.Option{pp.WithProcs(2), pp.WithTCP()},
+			pp.AdaptTarget{Procs: 4}, "AdaptTarget.Mode"},
+		{"seq-migrates", pp.Sequential, nil,
+			pp.AdaptTarget{Mode: pp.Shared, Threads: 2}, ""},
+		{"tcp-migrates", pp.Distributed, []pp.Option{pp.WithProcs(2), pp.WithTCP()},
+			pp.AdaptTarget{Mode: pp.Shared, Threads: 2}, ""},
 	}
-	bad := pp.Config{
-		Mode: pp.Shared, Threads: 2, Modules: migModules(),
-		AdaptAtSafePoint: 2, AdaptTo: pp.AdaptTarget{Mode: pp.Mode(99)},
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var total float64
+			opts := append(tc.opts, pp.WithAdaptAt(2, tc.target))
+			err := deployMig(t, &total, tc.mode, opts...).Run()
+			switch {
+			case tc.abort == "" && err != nil:
+				t.Fatalf("run: %v", err)
+			case tc.abort == "" && total != want:
+				t.Fatalf("total=%v want %v", total, want)
+			case tc.abort != "" && (err == nil || !strings.Contains(err.Error(), tc.abort)):
+				t.Fatalf("want an abort containing %q, got %v", tc.abort, err)
+			}
+		})
 	}
-	if _, err := pp.NewFromConfig(bad, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err == nil ||
-		!strings.Contains(err.Error(), "unknown mode") {
-		t.Fatalf("out-of-range AdaptTo.Mode accepted: %v", err)
+}
+
+// TestAsyncWorldResizeDoesNotStrandRanks pins the asynchronous world
+// resize: RequestAdapt{Procs} reaches a Distributed run while its ranks
+// race apart (each block's cells belong to one rank, so the others sprint
+// through their safe points with no collective in between). A rank that
+// has already run past the scheduled safe point must not strand its peers
+// in the resize protocol; the request is serviced as a same-mode relaunch
+// and every trial ends, with or without a checkpoint cadence to align to.
+// The first hung trial fails the test. The counter writes each cell
+// idempotently, so the total checks the relaunch's replay, not whether the
+// relaunch snapshot mixed rows from two safe points.
+func TestAsyncWorldResizeDoesNotStrandRanks(t *testing.T) {
+	const cells, blocks = 6000, 3000
+	want := 0.0
+	for i := 0; i < cells; i++ {
+		want += float64(i) * float64(i)
 	}
-	// Sequential-source migration is now legal (the old static rejection
-	// named only adaptation by restart).
-	okSeq := pp.Config{
-		Mode: pp.Sequential, Modules: migModules(),
-		AdaptAtSafePoint: 2, AdaptTo: pp.AdaptTarget{Mode: pp.Shared, Threads: 2},
+	relaunched := 0
+	for trial := 0; trial < 20; trial++ {
+		every := uint64(50 * (trial % 2))
+		procs := 2 + 2*(trial/2%2)
+		delay := time.Duration(trial%5) * 500 * time.Microsecond
+		name := fmt.Sprintf("every %d, 3 -> %d procs after %v", every, procs, delay)
+		var total float64
+		opts := []pp.Option{
+			pp.WithName("pp-counter"), pp.WithMode(pp.Distributed), pp.WithProcs(3),
+			pp.WithModules(modules(pp.Distributed)...),
+		}
+		if every > 0 {
+			opts = append(opts, pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(every))
+		}
+		eng, err := pp.New(func() pp.App {
+			return &counter{Out: make([]float64, cells), Blocks: blocks, total: &total}
+		}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- eng.Run() }()
+		time.Sleep(delay)
+		eng.RequestAdapt(pp.AdaptTarget{Procs: procs})
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: run: %v", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: run hung after an asynchronous world resize", name)
+		}
+		if total != want {
+			t.Fatalf("%s: total=%v want %v", name, total, want)
+		}
+		relaunched += eng.Report().Migrations
 	}
-	if _, err := pp.NewFromConfig(okSeq, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err != nil {
-		t.Fatalf("sequential-source migration rejected: %v", err)
-	}
-	// A TCP world still cannot resize in place, but may migrate.
-	okTCP := pp.Config{
-		Mode: pp.Distributed, Procs: 2, TCP: true, Modules: migModules(),
-		AdaptAtSafePoint: 2, AdaptTo: pp.AdaptTarget{Mode: pp.Shared, Threads: 2},
-	}
-	if _, err := pp.NewFromConfig(okTCP, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err != nil {
-		t.Fatalf("TCP-source migration rejected: %v", err)
-	}
-	badTCP := okTCP
-	badTCP.AdaptTo = pp.AdaptTarget{Procs: 4}
-	if _, err := pp.NewFromConfig(badTCP, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err == nil ||
-		!strings.Contains(err.Error(), "AdaptTarget.Mode") {
-		t.Fatalf("TCP in-place world resize accepted (or message does not name the migration path): %v", err)
+	if relaunched == 0 {
+		t.Fatal("no trial saw its resize request before the run ended")
 	}
 }

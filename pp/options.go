@@ -26,13 +26,6 @@ func New(factory Factory, opts ...Option) (*Engine, error) {
 	return core.New(cfg, factory)
 }
 
-// NewFromConfig builds an engine from a raw Config — the pre-options entry
-// point, kept for callers that assemble configurations as data. New is the
-// primary API.
-func NewFromConfig(cfg Config, factory Factory) (*Engine, error) {
-	return core.New(cfg, factory)
-}
-
 // WithName identifies checkpoint snapshots and the run ledger; two runs
 // that must see each other's checkpoints need the same name (default
 // "app").
@@ -221,14 +214,6 @@ func WithStopAt(sp uint64) Option {
 // a requested resize actually landed and give the freed budget away.
 func WithAdaptNotify(fn func(sp uint64, mode Mode, threads, procs int)) Option {
 	return func(c *core.Config) { c.OnAdapt = fn }
-}
-
-// WithAdaptManager attaches an external adaptation driver (such as
-// *AdaptManager, the simulated resource manager): it is started when the
-// run starts, feeds RequestAdapt/RequestStop asynchronously, and is stopped
-// when the run ends.
-func WithAdaptManager(d AdaptDriver) Option {
-	return func(c *core.Config) { c.Driver = d }
 }
 
 // WithFailureAt injects a process failure at the given safe point, on rank

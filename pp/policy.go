@@ -1,17 +1,12 @@
 package pp
 
-import (
-	"time"
-
-	"ppar/internal/adapt"
-	"ppar/internal/core"
-)
+import "ppar/internal/core"
 
 // AdaptPolicy decides, at each safe point, whether the run should reshape
 // its parallelism or checkpoint-and-stop. Decide must be a pure function of
 // the RunStats (every line of execution evaluates it independently and all
 // must agree). Plug one in with WithAdaptPolicy; asynchronous sources use
-// WithAdaptManager or Engine.RequestAdapt instead.
+// Engine.RequestAdapt / Engine.RequestStop, or WithAutoScale, instead.
 type AdaptPolicy = core.AdaptPolicy
 
 // RunStats is the deterministic view of the run handed to an AdaptPolicy.
@@ -31,42 +26,9 @@ func AdaptAt(sp uint64, target AdaptTarget) AdaptPolicy { return core.AdaptAt(sp
 func StopAt(sp uint64) AdaptPolicy { return core.StopAt(sp) }
 
 // Schedule returns a policy replaying a fixed sequence of reshapings keyed
-// by safe point — the deterministic analogue of a resource-manager trace,
+// by safe point — a resource-manager trace replayed deterministically,
 // usable in every mode.
 func Schedule(steps ...AdaptStep) AdaptPolicy { return core.Schedule(steps...) }
 
 // Policies chains policies; the first non-zero decision wins.
 func Policies(ps ...AdaptPolicy) AdaptPolicy { return core.Policies(ps...) }
-
-// AdaptDriver is an external, asynchronous source of adaptation requests —
-// the resource manager the paper assumes. Attach one with WithAdaptManager.
-type AdaptDriver = core.AdaptDriver
-
-// AdaptManager replays a wall-clock schedule of resource-availability
-// events against the running engine (grants become expansion requests,
-// revocations contraction requests). It implements AdaptDriver.
-type AdaptManager = adapt.Manager
-
-// AdaptEvent is one change in the resources committed to the application.
-type AdaptEvent = adapt.Event
-
-// NewAdaptManager creates a manager for the given schedule.
-func NewAdaptManager(events ...AdaptEvent) *AdaptManager { return adapt.NewManager(events...) }
-
-// Grant builds an expansion event for an AdaptManager.
-func Grant(after time.Duration, target AdaptTarget) AdaptEvent { return adapt.Grant(after, target) }
-
-// Revoke builds a contraction event for an AdaptManager.
-func Revoke(after time.Duration, target AdaptTarget) AdaptEvent { return adapt.Revoke(after, target) }
-
-// Migrate builds a cross-mode migration event for an AdaptManager: at the
-// next safe point the coordinator reaches, the run migrates in-process to
-// the given mode (target's Threads/Procs size the new executor).
-func Migrate(after time.Duration, mode Mode, target AdaptTarget) AdaptEvent {
-	return adapt.Migrate(after, mode, target)
-}
-
-// StepPolicy recommends a team size that meets a deadline from an observed
-// per-safe-point duration — a minimal self-adaptation heuristic to pair
-// with a monitoring loop and Engine.RequestAdapt.
-type StepPolicy = adapt.StepPolicy

@@ -130,8 +130,9 @@
 // (reshape at a safe point), StopAt (checkpoint-and-stop at a safe point,
 // the paper's adaptation by restart), Schedule (a fixed sequence of
 // reshapings) and Policies (chaining). Asynchronous, wall-clock sources —
-// a resource manager granting or revoking nodes — use WithAdaptManager or
-// Engine.RequestAdapt / Engine.RequestStop instead. Decide sees
+// a resource manager granting or revoking nodes — call
+// Engine.RequestAdapt / Engine.RequestStop instead, and WithAutoScale
+// plugs the one stock feedback driver that does so. Decide sees
 // deterministic RunStats, including checkpoint cadence counters
 // (FullSaves/DeltaSaves/LastCheckpointSP) so a policy can, say, stop or
 // migrate exactly at a freshly checkpointed safe point.
@@ -199,9 +200,6 @@
 // graceful checkpoint-and-stop at the next safe point, after which the run
 // returns *ErrStopped (wrapping the context cause) and a relaunched engine
 // — in any mode — replays from the snapshot.
-//
-// Callers that still hold a raw Config can use NewFromConfig, the
-// compatibility entry point; New with options is the primary API.
 package pp
 
 import (
@@ -219,8 +217,7 @@ type (
 	Factory = core.Factory
 	// Ctx is the execution context handed to the base program.
 	Ctx = core.Ctx
-	// Config assembles one deployment (legacy struct form; prefer the
-	// functional options of New).
+	// Config assembles one deployment; an Option edits it.
 	Config = core.Config
 	// Engine executes one deployment.
 	Engine = core.Engine

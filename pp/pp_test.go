@@ -229,27 +229,6 @@ func (a *sumApp) Main(ctx *pp.Ctx) {
 	})
 }
 
-func TestNewFromConfigCompat(t *testing.T) {
-	// The pre-options entry point still assembles the same deployment.
-	var total float64
-	cfg := pp.Config{
-		AppName: "pp-counter", Mode: pp.Shared, Threads: 3,
-		Modules: modules(pp.Shared),
-	}
-	eng, err := pp.NewFromConfig(cfg, func() pp.App {
-		return &counter{Out: make([]float64, 120), Blocks: 6, total: &total}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := wantTotal(); total != want {
-		t.Fatalf("total=%v want %v", total, want)
-	}
-}
-
 func TestRunContextCancelStopsAndResumes(t *testing.T) {
 	want := run(t, pp.Sequential)
 	store := pp.NewMemStore()
