@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ppar/internal/ckpt"
+	"ppar/internal/core"
 	"ppar/pp"
 )
 
@@ -225,6 +226,43 @@ func TestMigrationViaRequestAdapt(t *testing.T) {
 	}
 	if rep := eng.Report(); rep.Migrations != 1 || len(at) != 1 || at[0] != 2 {
 		t.Fatalf("migration at safe points %v, want exactly [2]: %+v", at, rep)
+	}
+}
+
+// grantDriver is a resource manager outside the run: when the run starts it
+// grants one target through RequestAdapt, and it records its own stop.
+type grantDriver struct {
+	target        pp.AdaptTarget
+	drives, stops int
+}
+
+func (d *grantDriver) Drive(e *core.Engine) func() {
+	d.drives++
+	e.RequestAdapt(d.target)
+	return func() { d.stops++ }
+}
+
+// TestMigrationViaAdaptManager drives the migration from an external
+// resource manager plugged as Config.Driver: its grant fires as the run
+// starts, so the coordinator schedules the executor swap at its next safe
+// point, and the manager is stopped exactly once when the run ends.
+func TestMigrationViaAdaptManager(t *testing.T) {
+	want := run(t, pp.Sequential)
+	var total float64
+	mgr := &grantDriver{target: pp.AdaptTarget{Mode: pp.Distributed, Procs: 3}}
+	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
+		func(c *core.Config) { c.Driver = mgr })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if total != want {
+		t.Fatalf("total=%v want %v", total, want)
+	}
+	if rep := eng.Report(); rep.Migrations != 1 {
+		t.Fatalf("manager migration not applied: %+v", rep)
+	}
+	if mgr.drives != 1 || mgr.stops != 1 {
+		t.Fatalf("manager driven %d times, stopped %d times, want 1 and 1", mgr.drives, mgr.stops)
 	}
 }
 
