@@ -99,8 +99,9 @@
 // bench_test.go regenerate each figure of the paper's evaluation; the
 // ppbench command prints them as tables, and ppsor runs the SOR benchmark
 // under any deployment from the command line (including -store=fs|mem|gzip
-// backend selection and -async/-delta checkpointing). The benchjson command turns `go test -bench` output into
-// the BENCH_*.json documents CI uploads as the perf trajectory.
+// backend selection and -async/-delta checkpointing). The benchjson
+// command turns `go test -bench` output into the BENCH_*.json documents
+// CI uploads as the perf trajectory.
 //
 // The runtime's cross-cutting contracts — AdaptPolicy.Decide purity,
 // deterministic serialization, collectives reached by every team member,

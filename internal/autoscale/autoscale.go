@@ -110,9 +110,13 @@ type Config struct {
 	// Modes lists cross-mode migration candidates. Empty = in-place
 	// resizes only.
 	Modes []core.Mode
-	// AllowWorldResize permits in-place Distributed world resizes. Leave
-	// false unless the deployment uses the in-process transport — the TCP
-	// transport would abort the run.
+	// AllowWorldResize permits Distributed world resizes. The engine
+	// serves each as a same-mode relaunch aligned to the checkpoint
+	// cadence, so it costs about a migration (and counts in
+	// Report.Migrations), and a run without a due checkpoint aborts on
+	// it. Leave false unless the deployment uses the in-process
+	// transport and a checkpoint cadence — the TCP transport would abort
+	// the run too.
 	AllowWorldResize bool
 	// Capacity, when non-nil, is the live resource ceiling (threads on one
 	// machine, world size) — the churn simulator or fleet budget plugs in

@@ -229,7 +229,9 @@ func (a *AutoScale) bestCandidate(s State, tCur float64) (core.AdaptTarget, floa
 		}
 	}
 
-	// In-place resizes of the running shape.
+	// Resizes of the running shape: thread resizes happen in place, a
+	// Distributed world resize is a same-mode relaunch that costs about a
+	// migration (moveCost charges every move alike).
 	switch sh.Mode {
 	case core.Shared, core.Task, core.Hybrid:
 		for th := 1; th <= s.CapThreads; th++ {

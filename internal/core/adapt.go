@@ -21,6 +21,9 @@ const (
 		"an in-process migration (AdaptTarget.Mode, which rebuilds the transport), or adaptation by restart"
 	taskCannotResizeWorldMsg = "core: task mode supports run-time thread adaptation and in-process migration " +
 		"(AdaptTarget.Mode), not in-place world resizing — its balancer moves work between the existing ranks instead"
+	relaunchNeedsCadenceMsg = "core: an asynchronous world resize (RequestAdapt with Procs) is a relaunch aligned to " +
+		"the checkpoint cadence, and this run has no due checkpoint left; set one (WithCheckpointEvery, within " +
+		"MaxCheckpoints) or resize at a fixed safe point with an AdaptAt policy"
 )
 
 // adaptNow applies an in-place adaptation at safe point sp. Inside a region

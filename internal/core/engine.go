@@ -486,12 +486,12 @@ func (e *Engine) Progress() (sp uint64, mode Mode, threads, procs int) {
 // checkpoint cadence instead, and a world resize is serviced as an
 // in-process relaunch into the same mode (it counts in Report.Migrations);
 // an AdaptPolicy (AdaptAt, Schedule, ...) resizes the world in place.
-// Without a checkpoint cadence the service point is the next safe point,
-// which a rank with no collective since may already have passed: its later
-// rows then reach the relaunch snapshot. A
-// target with Stop set is a graceful checkpoint-and-stop request (see
-// RequestStop); one with Mode set is an in-process cross-mode migration
-// (see AdaptTarget.Mode).
+// Without a due checkpoint to align to, such a world resize aborts the run
+// (its gather could take a racing rank's later rows), and a stop or
+// migration is served at the next safe point, which a rank with no
+// collective since may already have passed. A target with Stop set is a
+// graceful checkpoint-and-stop request (see RequestStop); one with Mode
+// set is an in-process cross-mode migration (see AdaptTarget.Mode).
 func (e *Engine) RequestAdapt(t AdaptTarget) {
 	e.pending.Store(&t)
 }

@@ -127,8 +127,11 @@ func (c *Ctx) SafePoint() {
 				// (worldCore.rankMain). A world resize would strand
 				// such a rank in place — its peers wait for it in the
 				// resize barrier — so it is serviced as a same-mode
-				// relaunch and aligned like a migration. Thread resizes
-				// keep the sp+1 schedule.
+				// relaunch and aligned like a migration. With no due
+				// checkpoint to align to, the relaunch gather could
+				// take a racing rank's end-of-run rows, so the resize
+				// is refused instead. Thread resizes keep the sp+1
+				// schedule.
 				at := sp + 1
 				if c.comm != nil && (t.Stop || (t.Mode != 0 && t.Mode != e.curMode) || c.relaunchResize(*t)) {
 					if due := e.nextDueAfter(sp); due != 0 {
@@ -136,6 +139,9 @@ func (c *Ctx) SafePoint() {
 						if e.cfg.ShardCheckpoints {
 							at = due + 1
 						}
+					} else if !t.Stop && (t.Mode == 0 || t.Mode == e.curMode) {
+						// Neither a stop nor a migration: the world resize.
+						panic(abortToken{msg: relaunchNeedsCadenceMsg})
 					}
 				}
 				e.scheduled.CompareAndSwap(0, at)
@@ -164,9 +170,9 @@ func (c *Ctx) SafePoint() {
 // same-mode world resize this executor can honour. Ranks synchronise at
 // collectives, not safe points, so an in-place resize at a scheduled safe
 // point would strand any rank that had already run past it; such a target
-// is serviced as an in-process migration into the same mode instead
-// (targets the executor rejects fall through to adaptNow, which aborts
-// loudly).
+// is serviced as an in-process migration into the same mode instead, and
+// refused when no checkpoint is due to align it to (targets the executor
+// rejects fall through to adaptNow, which aborts loudly).
 func (c *Ctx) relaunchResize(t AdaptTarget) bool {
 	if c.comm == nil || t.Procs <= 0 || (t.Mode != 0 && t.Mode != c.eng.curMode) {
 		return false

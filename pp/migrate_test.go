@@ -471,19 +471,15 @@ func TestMigrationTargetValidation(t *testing.T) {
 // resize: RequestAdapt{Procs} reaches a Distributed run while its ranks
 // race apart (each block's cells belong to one rank, so the others sprint
 // through their safe points with no collective in between). A rank that
-// has already run past the scheduled safe point must not strand its peers
-// in the resize protocol; the request is serviced as a same-mode relaunch
-// and every trial ends, with or without a checkpoint cadence to align to.
-// The first hung trial fails the test. The counter writes each cell
-// idempotently, so the total checks the relaunch's replay, not whether the
-// relaunch snapshot mixed rows from two safe points.
+// has already run past the scheduled safe point must neither strand its
+// peers in the resize protocol nor feed rows from a later safe point into
+// the resize. With a checkpoint cadence the request is a same-mode
+// relaunch aligned to the next due checkpoint, and every cell is counted
+// exactly once; without one it is refused with an error naming the
+// remedy. The first hung trial fails the test.
 func TestAsyncWorldResizeDoesNotStrandRanks(t *testing.T) {
 	const cells, blocks = 6000, 3000
-	want := 0.0
-	for i := 0; i < cells; i++ {
-		want += float64(i) * float64(i)
-	}
-	relaunched := 0
+	relaunched, refused := 0, 0
 	for trial := 0; trial < 20; trial++ {
 		every := uint64(50 * (trial % 2))
 		procs := 2 + 2*(trial/2%2)
@@ -498,29 +494,44 @@ func TestAsyncWorldResizeDoesNotStrandRanks(t *testing.T) {
 			opts = append(opts, pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(every))
 		}
 		eng, err := pp.New(func() pp.App {
-			return &counter{Out: make([]float64, cells), Blocks: blocks, total: &total}
+			return &counter{Out: make([]float64, cells), Blocks: blocks, total: &total, bump: true}
 		}, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if delay == 0 {
+			eng.RequestAdapt(pp.AdaptTarget{Procs: procs})
+		}
 		done := make(chan error, 1)
 		go func() { done <- eng.Run() }()
-		time.Sleep(delay)
-		eng.RequestAdapt(pp.AdaptTarget{Procs: procs})
+		if delay > 0 {
+			time.Sleep(delay)
+			eng.RequestAdapt(pp.AdaptTarget{Procs: procs})
+		}
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: run: %v", name, err)
-			}
+		case err = <-done:
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%s: run hung after an asynchronous world resize", name)
 		}
-		if total != want {
-			t.Fatalf("%s: total=%v want %v", name, total, want)
+		switch {
+		case err != nil && every == 0 && strings.Contains(err.Error(), "WithCheckpointEvery"):
+			refused++
+			continue
+		case err != nil:
+			t.Fatalf("%s: run: %v", name, err)
+		case every == 0 && delay == 0:
+			t.Fatalf("%s: a resize requested before Run without a checkpoint cadence was not refused", name)
+		}
+		if total != cells {
+			t.Fatalf("%s: counted %v cell visits, want %d (a snapshot mixed rows from two safe points)", name, total, cells)
 		}
 		relaunched += eng.Report().Migrations
 	}
+	t.Logf("%d relaunches, %d refusals", relaunched, refused)
 	if relaunched == 0 {
-		t.Fatal("no trial saw its resize request before the run ended")
+		t.Fatal("no trial with a checkpoint cadence saw its resize request before the run ended")
+	}
+	if refused == 0 {
+		t.Fatal("no trial without a checkpoint cadence refused its resize request")
 	}
 }

@@ -17,6 +17,10 @@ type counter struct {
 	Blocks int
 
 	total *float64
+	// bump makes every cell count its visits (Out[i] += 1) instead of
+	// writing i*i: a snapshot that mixes rows from two safe points then
+	// shows in the total, because the replayed cells count twice.
+	bump bool
 }
 
 func (c *counter) Main(ctx *pp.Ctx) {
@@ -40,7 +44,11 @@ func (c *counter) run(ctx *pp.Ctx) {
 		}
 		pp.ForSpan(ctx, "cells", lo, hi, func(a, z int) {
 			for i := a; i < z; i++ {
-				c.Out[i] = float64(i) * float64(i)
+				if c.bump {
+					c.Out[i]++
+				} else {
+					c.Out[i] = float64(i) * float64(i)
+				}
 			}
 		})
 		ctx.Call("block", func(*pp.Ctx) {})
