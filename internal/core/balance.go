@@ -124,7 +124,7 @@ func (c *Ctx) transferSpans(name string, old partition.Layout, newBounds []int) 
 		}
 		blk, err := c.fields.packSpan(name, a, b)
 		c.must(err)
-		c.must(c.comm.Send(s, rebalanceTag, mp.EncodeF64s(blk)))
+		c.must(c.comm.SendF64s(s, rebalanceTag, blk))
 	}
 	nlo, nhi := newBounds[me], newBounds[me+1]
 	for s := 0; s < parts; s++ {
@@ -136,9 +136,9 @@ func (c *Ctx) transferSpans(name string, old partition.Layout, newBounds []int) 
 		if a >= b {
 			continue
 		}
-		frame, err := c.comm.Recv(s, rebalanceTag)
+		blk, err := c.comm.RecvF64s(s, rebalanceTag)
 		c.must(err)
-		c.must(c.fields.unpackSpan(name, a, b, mp.DecodeF64s(frame)))
+		c.must(c.fields.unpackSpan(name, a, b, blk))
 	}
 }
 

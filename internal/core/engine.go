@@ -125,8 +125,8 @@ type AdaptTarget struct {
 	Procs int
 	// Mode, when non-zero and different from the current mode, requests an
 	// in-process cross-mode migration at the safe point: the engine takes a
-	// canonical snapshot into an internal in-memory store, tears down the
-	// current executor, constructs the target-mode executor inside the same
+	// canonical snapshot, keeps a private copy of it in memory, tears down
+	// the current executor, constructs the target-mode executor inside the same
 	// Run/RunContext call, and replays to the same safe point — the paper's
 	// adaptation-by-restart (Figures 6 and 7) without the restart. Threads
 	// and Procs then size the new executor (0 = inherit the current sizes).
@@ -297,7 +297,7 @@ type Report struct {
 	SaveTotal   time.Duration `json:"save_total"`  // time lines of execution were blocked in save protocols (sync: gather+encode+persist; async: gather+capture only)
 	SaveBytes   int           `json:"save_bytes"`  // payload bytes of the last snapshot
 	LoadTotal   time.Duration `json:"load_total"`  // time restoring data at the replay target
-	ReplayTime  time.Duration `json:"replay_time"` // run start -> replay target reached (excl. load)
+	ReplayTime  time.Duration `json:"replay_time"` // launch or relaunch start -> replay target reached (excl. load), summed over loads
 	Elapsed     time.Duration `json:"elapsed"`     // total wall time of Run
 	Adapted     bool          `json:"adapted"`     // a run-time adaptation was applied
 	Stopped     bool          `json:"stopped"`     // checkpointed and stopped (StopAt policy, RequestStop or cancellation)
@@ -439,6 +439,7 @@ type Engine struct {
 	repMu    sync.Mutex
 	report   Report
 	started  time.Time
+	launched time.Time // start of the current launch; written between launches
 	migStart time.Time // capture time of an in-flight migration (repMu)
 }
 
@@ -579,15 +580,14 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			break
 		}
 		e.exec = exec
+		e.launched = time.Now()
 		err = exec.Launch(e)
 		exec.Teardown()
 		mig := e.migration.Swap(nil)
 		if err != nil || mig == nil {
 			break
 		}
-		if err = e.applyMigration(mig); err != nil {
-			break
-		}
+		e.applyMigration(mig)
 	}
 	// Drain the asynchronous checkpoint writer before deciding the run's
 	// outcome: the last capture must persist even when the run failed (it
@@ -930,9 +930,7 @@ func (e *Engine) recordLoad(replayDone time.Time, load time.Duration) {
 	e.repMu.Lock()
 	defer e.repMu.Unlock()
 	e.report.LoadTotal += load
-	if rt := replayDone.Sub(e.started); rt > e.report.ReplayTime {
-		e.report.ReplayTime = rt
-	}
+	e.report.ReplayTime += replayDone.Sub(e.launched)
 	if !e.migStart.IsZero() {
 		// This load completed a migration replay: the blocked span runs
 		// from the snapshot capture under the old executor to here.

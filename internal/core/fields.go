@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -364,6 +365,21 @@ func (b *boundFields) length(name string) (int, error) {
 	return 0, fmt.Errorf("core: field %q is scalar and cannot be partitioned", name)
 }
 
+// blockPool recycles packed blocks: a rank that has unpacked a block it
+// received returns it, and the next pack on any rank reuses it, so a steady
+// checkpoint cadence moves partitioned data without allocating. A pooled
+// block too small for the request is dropped.
+var blockPool sync.Pool
+
+func getBlock(n int) []float64 {
+	if p, _ := blockPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		return (*p)[:0]
+	}
+	return make([]float64, 0, n)
+}
+
+func putBlock(v []float64) { blockPool.Put(&v) }
+
 // packOwned flattens the indices of a partitioned field owned by part p
 // into a float64 vector (matrices flatten row-major).
 func (b *boundFields) packOwned(name string, l partition.Layout, p int) ([]float64, error) {
@@ -371,12 +387,12 @@ func (b *boundFields) packOwned(name string, l partition.Layout, p int) ([]float
 	switch a.kind {
 	case kindFloat64s:
 		v := *a.fs
-		out := make([]float64, 0, l.Count(p))
+		out := getBlock(l.Count(p))
 		l.Indices(p, func(i int) { out = append(out, v[i]) })
 		return out, nil
 	case kindInts:
 		v := *a.is
-		out := make([]float64, 0, l.Count(p))
+		out := getBlock(l.Count(p))
 		l.Indices(p, func(i int) { out = append(out, float64(v[i])) })
 		return out, nil
 	case kindMatrix:
@@ -385,7 +401,7 @@ func (b *boundFields) packOwned(name string, l partition.Layout, p int) ([]float
 		if len(v) > 0 {
 			cols = len(v[0])
 		}
-		out := make([]float64, 0, l.Count(p)*cols)
+		out := getBlock(l.Count(p) * cols)
 		l.Indices(p, func(i int) { out = append(out, v[i]...) })
 		return out, nil
 	}
@@ -490,17 +506,21 @@ func (b *boundFields) unpackSpan(name string, lo, hi int, data []float64) error 
 }
 
 // gatherAt collects the owned blocks of a partitioned field at root,
-// leaving root's copy of the field fully populated.
+// leaving root's copy of the field fully populated. Each peer block is
+// copied twice — packed on its rank, unpacked on root — and handed over
+// typed, never byte-encoded, where the transport allows it.
 func (b *boundFields) gatherAt(name string, c *mp.Comm, root, parts int) error {
 	l, err := b.layoutFor(name, parts)
 	if err != nil {
 		return err
 	}
-	mine, err := b.packOwned(name, l, c.Rank())
-	if err != nil {
-		return err
+	var mine []float64 // root's block is already in place
+	if c.Rank() != root {
+		if mine, err = b.packOwned(name, l, c.Rank()); err != nil {
+			return err
+		}
 	}
-	got, err := c.Gather(root, mp.EncodeF64s(mine))
+	got, err := c.GatherF64s(root, mine)
 	if err != nil {
 		return fmt.Errorf("core: gathering field %q: %w", name, err)
 	}
@@ -509,41 +529,47 @@ func (b *boundFields) gatherAt(name string, c *mp.Comm, root, parts int) error {
 	}
 	for r := 0; r < parts; r++ {
 		if r == root {
-			continue // root's block is already in place
+			continue
 		}
-		if err := b.unpackOwned(name, l, r, mp.DecodeF64s(got[r])); err != nil {
+		if err := b.unpackOwned(name, l, r, got[r]); err != nil {
 			return err
 		}
+		putBlock(got[r])
 	}
 	return nil
 }
 
 // scatterFrom distributes root's full copy of a partitioned field: every
-// rank receives (only) its owned block.
+// rank receives (only) its owned block, packed on root and handed over.
 func (b *boundFields) scatterFrom(name string, c *mp.Comm, root, parts int) error {
 	l, err := b.layoutFor(name, parts)
 	if err != nil {
 		return err
 	}
-	var frames [][]byte
+	var blocks [][]float64
 	if c.Rank() == root {
-		frames = make([][]byte, parts)
+		blocks = make([][]float64, parts)
 		for r := 0; r < parts; r++ {
-			blk, err := b.packOwned(name, l, r)
-			if err != nil {
+			if r == root {
+				continue // root's block never leaves
+			}
+			if blocks[r], err = b.packOwned(name, l, r); err != nil {
 				return err
 			}
-			frames[r] = mp.EncodeF64s(blk)
 		}
 	}
-	mine, err := c.Scatter(root, frames)
+	mine, err := c.ScatterF64s(root, blocks)
 	if err != nil {
 		return fmt.Errorf("core: scattering field %q: %w", name, err)
 	}
 	if c.Rank() == root {
-		return nil // root's block never left
+		return nil
 	}
-	return b.unpackOwned(name, l, c.Rank(), mp.DecodeF64s(mine))
+	if err := b.unpackOwned(name, l, c.Rank(), mine); err != nil {
+		return err
+	}
+	putBlock(mine)
+	return nil
 }
 
 // bcastField broadcasts root's full copy of a (typically replicated) field.
@@ -606,14 +632,15 @@ func (b *boundFields) haloExchange(name string, c *mp.Comm, parts int) error {
 		return nil // empty part: no rows, no neighbours
 	}
 	below, above := l.Neighbours(c.Rank())
-	// Post sends first (transports buffer), then receive.
+	// Post sends first (transports buffer), then receive. The edge rows are
+	// live, so each is sent as a copy the receiver may keep.
 	if below >= 0 {
-		if err := c.SendF64s(below, tagDown, fv[lo]); err != nil {
+		if err := c.SendF64s(below, tagDown, slices.Clone(fv[lo])); err != nil {
 			return fmt.Errorf("core: halo send down %q: %w", name, err)
 		}
 	}
 	if above >= 0 {
-		if err := c.SendF64s(above, tagUp, fv[hi-1]); err != nil {
+		if err := c.SendF64s(above, tagUp, slices.Clone(fv[hi-1])); err != nil {
 			return fmt.Errorf("core: halo send up %q: %w", name, err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ppar/internal/ckpt"
 	"ppar/internal/serial"
 )
 
@@ -16,17 +15,16 @@ type migrateToken struct{ sp uint64 }
 
 // migrationSpec is the resolved in-process migration, published by the
 // coordinator at the safe point and consumed by the executor loop. The
-// canonical snapshot travels through an internal in-memory store so the
-// relaunch reads it back through the ordinary serial round-trip — no
-// aliasing of the old executor's live arrays, and no interaction with the
+// canonical snapshot is handed over in memory as a deep copy: it shares no
+// array with the old executor's live fields, and it never touches the
 // user's configured Store (whose chain keeps serving crash restarts).
 type migrationSpec struct {
 	sp      uint64
 	mode    Mode
 	threads int
 	procs   int
-	store   ckpt.Store
-	start   time.Time // snapshot capture time, for Report.MigrationTotal
+	snap    *serial.Snapshot // owned copy, the relaunch's replay source
+	start   time.Time        // snapshot capture time, for Report.MigrationTotal
 	// pending is the scheduled RequestAdapt/RequestStop target this
 	// migration consumed, if it was pending-sourced: applyMigration clears
 	// exactly that request (CAS) so a colliding request from another
@@ -38,7 +36,7 @@ type migrationSpec struct {
 // point sp: the same collective save protocol as stopCheckpoint — barriers
 // in shared memory, gather-at-master in distributed memory, asynchronous
 // writer drained first so the regular chain stays consistent — except that
-// the canonical snapshot lands in an internal in-memory store, and the
+// the canonical snapshot is parked in memory for the relaunch, and the
 // unwind relaunches the run instead of ending it (Figures 6 and 7 without
 // the restart).
 func (c *Ctx) migrateCheckpoint(sp uint64, t AdaptTarget, pending *AdaptTarget) {
@@ -101,11 +99,9 @@ func (c *Ctx) publishMigration(sp uint64, t AdaptTarget, snap *serial.Snapshot, 
 		c.must(e.sink.saveFull(snap))
 		e.recordSave(time.Since(start), snap.DataBytes(), false)
 	}
-	st := ckpt.NewMem()
-	c.must(st.Save(snap))
 	e.migration.Store(&migrationSpec{
 		sp: sp, mode: t.Mode, threads: threads, procs: procs,
-		store: st, start: start, pending: pending,
+		snap: snap.Clone(), start: start, pending: pending,
 	})
 }
 
@@ -114,15 +110,8 @@ func (c *Ctx) publishMigration(sp uint64, t AdaptTarget, snap *serial.Snapshot, 
 // target's, and the incremental-checkpoint tracker is re-based so the first
 // periodic checkpoint under the new executor persists a full snapshot (the
 // old chain's hashes described the old capture sequence).
-func (e *Engine) applyMigration(m *migrationSpec) error {
-	snap, found, err := m.store.Load(e.cfg.AppName)
-	if err != nil {
-		return fmt.Errorf("core: migration snapshot: %w", err)
-	}
-	if !found {
-		return fmt.Errorf("core: migration at safe point %d left no snapshot", m.sp)
-	}
-	e.resumeSnap = snap
+func (e *Engine) applyMigration(m *migrationSpec) {
+	e.resumeSnap = m.snap
 	e.shardSnaps = nil
 	e.replayTarget = m.sp
 	e.curMode = m.mode
@@ -157,5 +146,4 @@ func (e *Engine) applyMigration(m *migrationSpec) error {
 	// The relaunch runs between launches on the engine's own goroutine, so
 	// this is the coordinating line of execution by construction.
 	e.notifyAdapt(m.sp)
-	return nil
 }

@@ -16,6 +16,7 @@ package refimpl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ppar/internal/mp"
@@ -146,17 +147,19 @@ func MPI(n, iters, nprocs int, delay mp.DelayFunc) (float64, error) {
 			below, above = layout.Neighbours(c.Rank())
 		}
 		const tagDown, tagUp, tagGather = 1, 2, 3
+		// The sent edge rows are copies: SendF64s hands its slice to the
+		// receiver, and the live rows change in the next sweep.
 		halo := func() error {
 			if lo >= hi {
 				return nil
 			}
 			if below >= 0 {
-				if err := c.SendF64s(below, tagDown, g[lo]); err != nil {
+				if err := c.SendF64s(below, tagDown, slices.Clone(g[lo])); err != nil {
 					return err
 				}
 			}
 			if above >= 0 {
-				if err := c.SendF64s(above, tagUp, g[hi-1]); err != nil {
+				if err := c.SendF64s(above, tagUp, slices.Clone(g[hi-1])); err != nil {
 					return err
 				}
 			}
@@ -189,14 +192,14 @@ func MPI(n, iters, nprocs int, delay mp.DelayFunc) (float64, error) {
 		for i := lo; i < hi; i++ {
 			flat = append(flat, g[i]...)
 		}
-		parts, err := c.Gather(0, mp.EncodeF64s(flat))
+		parts, err := c.GatherF64s(0, flat)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
 			for r := 0; r < nprocs; r++ {
 				rlo, rhi := layout.Range(r)
-				vals := mp.DecodeF64s(parts[r])
+				vals := parts[r]
 				for i := rlo; i < rhi; i++ {
 					copy(g[i], vals[(i-rlo)*n:(i-rlo+1)*n])
 				}

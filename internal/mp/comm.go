@@ -172,22 +172,42 @@ func nextPow2(n int) int {
 // Gather collects each rank's data at root. On root it returns a slice
 // indexed by rank (root's own entry references data); elsewhere nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
+	return gather(c, root, data, c.send, c.recv)
+}
+
+// Scatter distributes parts[r] to each rank r from root and returns this
+// rank's part. Only root's parts argument is consulted.
+func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
+	return scatter(c, root, parts, c.send, c.recv)
+}
+
+func (c *Comm) send(to int, tag int64, data []byte) error {
+	return c.g.tr.Send(c.rank, to, tag, data)
+}
+
+func (c *Comm) recv(from int, tag int64) ([]byte, error) {
+	return c.g.tr.Recv(c.rank, from, tag)
+}
+
+// gather is the Gather collective for either payload form, moved point to
+// point by send and recv.
+func gather[T any](c *Comm, root int, v T, send func(int, int64, T) error, recv func(int, int64) (T, error)) ([]T, error) {
 	seq := c.seq
 	c.seq++
 	n := c.Size()
 	if c.rank != root {
-		if err := c.g.tr.Send(c.rank, root, tagFor(kindGather, seq, 0), data); err != nil {
+		if err := send(root, tagFor(kindGather, seq, 0), v); err != nil {
 			return nil, fmt.Errorf("mp: gather send: %w", err)
 		}
 		return nil, nil
 	}
-	out := make([][]byte, n)
-	out[root] = data
+	out := make([]T, n)
+	out[root] = v
 	for r := 0; r < n; r++ {
 		if r == root {
 			continue
 		}
-		got, err := c.g.tr.Recv(c.rank, r, tagFor(kindGather, seq, 0))
+		got, err := recv(r, tagFor(kindGather, seq, 0))
 		if err != nil {
 			return nil, fmt.Errorf("mp: gather recv from %d: %w", r, err)
 		}
@@ -196,29 +216,29 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Scatter distributes parts[r] to each rank r from root and returns this
-// rank's part. Only root's parts argument is consulted.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
+// scatter is the Scatter collective for either payload form.
+func scatter[T any](c *Comm, root int, parts []T, send func(int, int64, T) error, recv func(int, int64) (T, error)) (T, error) {
+	var none T
 	seq := c.seq
 	c.seq++
 	n := c.Size()
 	if c.rank == root {
 		if len(parts) != n {
-			return nil, fmt.Errorf("mp: scatter needs %d parts, got %d", n, len(parts))
+			return none, fmt.Errorf("mp: scatter needs %d parts, got %d", n, len(parts))
 		}
 		for r := 0; r < n; r++ {
 			if r == root {
 				continue
 			}
-			if err := c.g.tr.Send(c.rank, r, tagFor(kindScatter, seq, 0), parts[r]); err != nil {
-				return nil, fmt.Errorf("mp: scatter send to %d: %w", r, err)
+			if err := send(r, tagFor(kindScatter, seq, 0), parts[r]); err != nil {
+				return none, fmt.Errorf("mp: scatter send to %d: %w", r, err)
 			}
 		}
 		return parts[root], nil
 	}
-	got, err := c.g.tr.Recv(c.rank, root, tagFor(kindScatter, seq, 0))
+	got, err := recv(root, tagFor(kindScatter, seq, 0))
 	if err != nil {
-		return nil, fmt.Errorf("mp: scatter recv: %w", err)
+		return none, fmt.Errorf("mp: scatter recv: %w", err)
 	}
 	return got, nil
 }
@@ -300,18 +320,51 @@ func DecodeF64s(b []byte) []float64 {
 	return v
 }
 
-// SendF64s sends a float64 slice to rank `to`.
-func (c *Comm) SendF64s(to, tag int, v []float64) error {
-	return c.Send(to, tag, EncodeF64s(v))
+// sendF64s hands v to rank `to`: as is on a typed transport, as EncodeF64s
+// bytes on any other.
+func (c *Comm) sendF64s(to int, tag int64, v []float64) error {
+	if ft, ok := c.g.tr.(f64Transport); ok {
+		return ft.sendF64s(c.rank, to, tag, v)
+	}
+	return c.send(to, tag, EncodeF64s(v))
 }
 
-// RecvF64s receives a float64 slice from rank `from`.
-func (c *Comm) RecvF64s(from, tag int) ([]float64, error) {
-	b, err := c.Recv(from, tag)
+// recvF64s receives what sendF64s sent.
+func (c *Comm) recvF64s(from int, tag int64) ([]float64, error) {
+	if ft, ok := c.g.tr.(f64Transport); ok {
+		return ft.recvF64s(c.rank, from, tag)
+	}
+	b, err := c.recv(from, tag)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeF64s(b), nil
+}
+
+// SendF64s sends a float64 slice to rank `to`. Ownership of v passes to the
+// receiver (the in-process transport hands the slice itself over): the
+// caller must not modify v afterwards, so a live array is sent as a copy.
+func (c *Comm) SendF64s(to, tag int, v []float64) error {
+	return c.sendF64s(to, tagFor(kindP2P, 0, int64(tag)), v)
+}
+
+// RecvF64s receives a float64 slice from rank `from`; the caller owns it.
+func (c *Comm) RecvF64s(from, tag int) ([]float64, error) {
+	return c.recvF64s(from, tagFor(kindP2P, 0, int64(tag)))
+}
+
+// GatherF64s is Gather for float64 slices: it collects each rank's v at
+// root and returns them indexed by rank on root (root's own entry is v),
+// nil elsewhere. Ownership of every sent v passes to root.
+func (c *Comm) GatherF64s(root int, v []float64) ([][]float64, error) {
+	return gather(c, root, v, c.sendF64s, c.recvF64s)
+}
+
+// ScatterF64s is Scatter for float64 slices: root sends parts[r] to each
+// rank r and every rank returns its own part. Only root's parts argument is
+// consulted, and ownership of each sent part passes to its receiver.
+func (c *Comm) ScatterF64s(root int, parts [][]float64) ([]float64, error) {
+	return scatter(c, root, parts, c.sendF64s, c.recvF64s)
 }
 
 // ReduceF64s folds each rank's equally-long vector element-wise at root with

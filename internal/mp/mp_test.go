@@ -436,3 +436,123 @@ func TestQuickAllreduceMax(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The typed collectives deliver the same values over both transports; on
+// the in-process one they hand each slice itself over (no copy, no bytes).
+func TestGatherScatterF64s(t *testing.T) {
+	withTransports(t, 3, func(t *testing.T, tr Transport) {
+		_, typed := tr.(f64Transport)
+		sent := make([][]float64, 3)
+		w := NewWorld(tr, 3)
+		err := w.Run(func(c *Comm) error {
+			mine := []float64{float64(c.Rank()), 0.5}
+			sent[c.Rank()] = mine
+			parts, err := c.GatherF64s(1, mine)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 1 {
+				for r, p := range parts {
+					if len(p) != 2 || p[0] != float64(r) || p[1] != 0.5 {
+						return fmt.Errorf("gather parts[%d]=%v", r, p)
+					}
+					if typed && &p[0] != &sent[r][0] {
+						return fmt.Errorf("in-process gather copied rank %d's slice instead of handing it over", r)
+					}
+					parts[r] = []float64{float64(10 * r)}
+				}
+			}
+			got, err := c.ScatterF64s(1, parts)
+			if err != nil {
+				return err
+			}
+			if len(got) != 1 || got[0] != float64(10*c.Rank()) {
+				return fmt.Errorf("rank %d scatter got %v", c.Rank(), got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A typed message charges the DelayFunc its wire size, 8 bytes per float,
+// once — the traffic the performance model and traces see does not depend
+// on the transport.
+func TestTypedSendChargesWireBytes(t *testing.T) {
+	var msgs, nbytes atomic.Int64
+	tr := NewInProc(2, func(from, to, n int) time.Duration {
+		msgs.Add(1)
+		nbytes.Add(int64(n))
+		return 0
+	})
+	defer tr.Close()
+	w := NewWorld(tr, 2)
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.SendF64s(1, 1, make([]float64, 5))
+		}
+		_, err := c.RecvF64s(0, 1)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs.Load() != 1 || nbytes.Load() != 40 {
+		t.Fatalf("DelayFunc saw %d messages / %d bytes, want 1 / 40", msgs.Load(), nbytes.Load())
+	}
+}
+
+// A typed send to a killed rank fails with ErrDead, exactly as a byte send
+// does; failure injection relies on it.
+func TestTypedSendToKilledRankIsDead(t *testing.T) {
+	tr := NewInProc(2, nil)
+	defer tr.Close()
+	g := NewGroup(tr, 2)
+	tr.Kill(1)
+	if err := NewComm(g, 0).SendF64s(1, 1, []float64{1}); !errors.Is(err, ErrDead) {
+		t.Fatalf("typed send to a dead rank: %v, want ErrDead", err)
+	}
+	if _, err := NewComm(g, 1).RecvF64s(0, 1); !errors.Is(err, ErrDead) {
+		t.Fatalf("typed recv on a dead rank: %v, want ErrDead", err)
+	}
+	if _, err := NewComm(g, 0).GatherF64s(1, nil); !errors.Is(err, ErrDead) {
+		t.Fatalf("typed gather to a dead root: %v, want ErrDead", err)
+	}
+}
+
+// A receiver that asks for the other form still gets the values: a typed
+// message read as bytes is its EncodeF64s form, and the reverse.
+func TestTypedAndByteFormsInterconvert(t *testing.T) {
+	withTransports(t, 2, func(t *testing.T, tr Transport) {
+		w := NewWorld(tr, 2)
+		v := []float64{1.5, -2}
+		err := w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				if err := c.SendF64s(1, 1, append([]float64(nil), v...)); err != nil {
+					return err
+				}
+				return c.Send(1, 2, EncodeF64s(v))
+			}
+			b, err := c.Recv(0, 1)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(DecodeF64s(b), v) {
+				return fmt.Errorf("typed message read as bytes: %v", b)
+			}
+			f, err := c.RecvF64s(0, 2)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(f, v) {
+				return fmt.Errorf("byte message read typed: %v", f)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -147,7 +147,8 @@ func (t *TCP) Recv(to, from int, tag int64) ([]byte, error) {
 	if to < 0 || to >= len(t.boxes) {
 		return nil, fmt.Errorf("mp: rank %d out of range", to)
 	}
-	return t.boxes[to].take(from, tag)
+	msg, err := t.boxes[to].take(from, tag)
+	return msg.data, err
 }
 
 // Kill implements Transport.

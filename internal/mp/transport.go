@@ -15,11 +15,20 @@
 // the transport, or through the checkpoint/restart path, exactly like the
 // paper's Figure 6).
 //
+// Partitioned field data moves as float64 slices (SendF64s, GatherF64s,
+// ScatterF64s). On the in-process transport the slice itself is handed to
+// the receiving rank — ranks share one address space, so there is nothing
+// to encode — and ownership passes with it: the sender must not touch the
+// slice again. The TCP transport has a wire, so it sends the EncodeF64s
+// bytes instead. Either way the message counts as 8·len(v) bytes.
+//
 // An optional delay function models the paper's two-machine topology: the
 // cost of a message is latency(from,to) + bytes/bandwidth(from,to), so
 // effects like "32 P pays inter-machine transfers" (Figures 4 and 5) can be
 // reproduced with real waiting or, for large configurations, analytically in
-// internal/perfmodel.
+// internal/perfmodel. It is called once per message, with a typed message's
+// payload charged 8·len(v) bytes — the size of its wire form — so the
+// modelled and traced traffic does not depend on the transport.
 package mp
 
 import (
@@ -37,15 +46,18 @@ var ErrDead = errors.New("mp: peer rank is dead")
 var ErrClosed = errors.New("mp: transport closed")
 
 // DelayFunc models link cost: it returns how long a message of n bytes from
-// rank `from` to rank `to` should take. A nil DelayFunc means no delay.
+// rank `from` to rank `to` should take. A typed float64 message counts as
+// 8·len(v) bytes. A nil DelayFunc means no delay.
 type DelayFunc func(from, to, n int) time.Duration
 
 // Transport delivers tagged byte messages between ranks. Each rank must
 // have at most one concurrent receiver (the SPMD model guarantees this: the
 // rank's control thread is the only one that communicates).
 type Transport interface {
-	// Send delivers data (which the transport takes ownership of) to rank
-	// `to` with the given tag.
+	// Send delivers data to rank `to` with the given tag. Ownership of
+	// data passes to the receiver: the in-process transport hands the
+	// slice itself over, so the sender must not modify it afterwards. The
+	// typed float64 path (Comm.SendF64s) follows the same rule.
 	Send(from, to int, tag int64, data []byte) error
 	// Recv blocks until a message from rank `from` with the given tag
 	// arrives at rank `to`.
@@ -61,10 +73,37 @@ type Transport interface {
 	Close() error
 }
 
+// message is one delivery. A typed message carries f64s and no data; a
+// receiver that asks for the other form gets it converted, so a byte
+// receive of a typed message (or the reverse) still sees the same values.
 type message struct {
 	from int
 	tag  int64
 	data []byte
+	f64s []float64
+}
+
+func (m message) bytes() []byte {
+	if m.f64s != nil {
+		return EncodeF64s(m.f64s)
+	}
+	return m.data
+}
+
+func (m message) floats() []float64 {
+	if m.f64s != nil || m.data == nil {
+		return m.f64s
+	}
+	return DecodeF64s(m.data)
+}
+
+// f64Transport is the optional typed capability of a transport whose ranks
+// share one address space: a float64 slice is handed to the receiver as is,
+// with no byte encoding. InProc has it; the Comm falls back to EncodeF64s
+// bytes on a transport without it.
+type f64Transport interface {
+	sendF64s(from, to int, tag int64, v []float64) error
+	recvF64s(to, from int, tag int64) ([]float64, error)
 }
 
 // mailbox is the per-rank receive queue: a channel plus an out-of-order
@@ -93,22 +132,22 @@ func (m *mailbox) isDead() bool {
 
 // take returns the first pending or arriving message matching (from, tag).
 // Only one goroutine per rank may call take (single-receiver rule).
-func (m *mailbox) take(from int, tag int64) ([]byte, error) {
+func (m *mailbox) take(from int, tag int64) (message, error) {
 	for i, p := range m.pending {
 		if p.from == from && p.tag == tag {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			return p.data, nil
+			return p, nil
 		}
 	}
 	for {
 		select {
 		case msg := <-m.ch:
 			if msg.from == from && msg.tag == tag {
-				return msg.data, nil
+				return msg, nil
 			}
 			m.pending = append(m.pending, msg)
 		case <-m.dead:
-			return nil, ErrDead
+			return message{}, ErrDead
 		}
 	}
 }
@@ -142,11 +181,21 @@ func (t *InProc) box(r int) (*mailbox, error) {
 
 // Send implements Transport.
 func (t *InProc) Send(from, to int, tag int64, data []byte) error {
+	return t.deliver(to, message{from: from, tag: tag, data: data}, len(data))
+}
+
+// sendF64s hands v itself to rank `to`, charged 8·len(v) bytes.
+func (t *InProc) sendF64s(from, to int, tag int64, v []float64) error {
+	return t.deliver(to, message{from: from, tag: tag, f64s: v}, 8*len(v))
+}
+
+// deliver queues msg at rank `to` after the delay for a message of n bytes.
+func (t *InProc) deliver(to int, msg message, n int) error {
 	dst, err := t.box(to)
 	if err != nil {
 		return err
 	}
-	src, err := t.box(from)
+	src, err := t.box(msg.from)
 	if err != nil {
 		return err
 	}
@@ -154,12 +203,12 @@ func (t *InProc) Send(from, to int, tag int64, data []byte) error {
 		return ErrDead
 	}
 	if t.delay != nil {
-		if d := t.delay(from, to, len(data)); d > 0 {
+		if d := t.delay(msg.from, to, n); d > 0 {
 			time.Sleep(d)
 		}
 	}
 	select {
-	case dst.ch <- message{from: from, tag: tag, data: data}:
+	case dst.ch <- msg:
 		return nil
 	case <-dst.dead:
 		return ErrDead
@@ -168,9 +217,19 @@ func (t *InProc) Send(from, to int, tag int64, data []byte) error {
 
 // Recv implements Transport.
 func (t *InProc) Recv(to, from int, tag int64) ([]byte, error) {
+	msg, err := t.take(to, from, tag)
+	return msg.bytes(), err
+}
+
+func (t *InProc) recvF64s(to, from int, tag int64) ([]float64, error) {
+	msg, err := t.take(to, from, tag)
+	return msg.floats(), err
+}
+
+func (t *InProc) take(to, from int, tag int64) (message, error) {
 	dst, err := t.box(to)
 	if err != nil {
-		return nil, err
+		return message{}, err
 	}
 	return dst.take(from, tag)
 }

@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // Magic identifies a pluggable-parallelisation checkpoint container.
@@ -226,45 +227,99 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-// writeF64s streams v through a fixed pooled conversion block instead of
-// materialising an 8*len(v) buffer per call — on the checkpoint hot path
-// that per-field allocation used to dominate allocs/ckpt.
-func writeF64s(w io.Writer, v []float64) error {
-	sp := scratchPool.Get().(*[]byte)
-	b := *sp
-	var err error
-	for len(v) > 0 && err == nil {
-		n := len(v)
-		if max := len(b) / 8; n > max {
-			n = max
-		}
-		for i := 0; i < n; i++ {
-			order.PutUint64(b[8*i:], math.Float64bits(v[i]))
-		}
-		_, err = w.Write(b[:8*n])
-		v = v[n:]
-	}
-	scratchPool.Put(sp)
-	return err
+// payloadWriter streams a field payload through one pooled scratch block,
+// writing the block to w whenever it fills, so encoding a field allocates
+// nothing in proportion to its size. The first error sticks; later calls
+// do nothing.
+type payloadWriter struct {
+	w   io.Writer
+	b   []byte
+	n   int
+	err error
 }
 
-func writeI64s(w io.Writer, v []int64) error {
-	sp := scratchPool.Get().(*[]byte)
-	b := *sp
-	var err error
-	for len(v) > 0 && err == nil {
-		n := len(v)
-		if max := len(b) / 8; n > max {
-			n = max
-		}
-		for i := 0; i < n; i++ {
-			order.PutUint64(b[8*i:], uint64(v[i]))
-		}
-		_, err = w.Write(b[:8*n])
-		v = v[n:]
+// littleEndian reports whether the host stores numbers in the container's
+// byte order. Then a float or int slice's memory already is its payload,
+// and the encoder streams it as bytes instead of converting each element.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+func (p *payloadWriter) flush() {
+	if p.err == nil && p.n > 0 {
+		_, p.err = p.w.Write(p.b[:p.n])
 	}
-	scratchPool.Put(sp)
-	return err
+	p.n = 0
+}
+
+func (p *payloadWriter) u64(x uint64) {
+	if len(p.b)-p.n < 8 {
+		p.flush()
+	}
+	order.PutUint64(p.b[p.n:], x)
+	p.n += 8
+}
+
+func (p *payloadWriter) f64s(v []float64) {
+	if littleEndian {
+		p.bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v)))
+		return
+	}
+	for len(v) > 0 && p.err == nil {
+		if len(p.b)-p.n < 8 {
+			p.flush()
+		}
+		k := min(len(v), (len(p.b)-p.n)/8)
+		for i, f := range v[:k] {
+			order.PutUint64(p.b[p.n+8*i:], math.Float64bits(f))
+		}
+		p.n += 8 * k
+		v = v[k:]
+	}
+}
+
+func (p *payloadWriter) i64s(v []int64) {
+	if littleEndian {
+		p.bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v)))
+		return
+	}
+	for len(v) > 0 && p.err == nil {
+		if len(p.b)-p.n < 8 {
+			p.flush()
+		}
+		k := min(len(v), (len(p.b)-p.n)/8)
+		for i, x := range v[:k] {
+			order.PutUint64(p.b[p.n+8*i:], uint64(x))
+		}
+		p.n += 8 * k
+		v = v[k:]
+	}
+}
+
+// bytes streams b through the block; a run at least a block long goes to w
+// directly instead of being copied first.
+func (p *payloadWriter) bytes(b []byte) {
+	if len(b) >= len(p.b) {
+		p.flush()
+		if p.err == nil {
+			_, p.err = p.w.Write(b)
+		}
+		return
+	}
+	for len(b) > 0 && p.err == nil {
+		if p.n == len(p.b) {
+			p.flush()
+		}
+		k := copy(p.b[p.n:], b)
+		p.n += k
+		b = b[k:]
+	}
+}
+
+// crcSum is an io.Writer that only accumulates the CRC-32 of what it sees.
+type crcSum uint32
+
+func (c *crcSum) Write(p []byte) (int, error) {
+	*c = crcSum(crc32.Update(uint32(*c), crc32.IEEETable, p))
+	return len(p), nil
 }
 
 // Encode writes the snapshot to w in the container format. Snapshots large
@@ -319,83 +374,101 @@ func (s *Snapshot) fieldNames() []string {
 	return names
 }
 
+// encodeField frames one field: name, tag, payload length, payload CRC,
+// payload. The length and CRC precede the payload, so the payload is sized
+// from the Value (payloadLen, which also rejects every malformed value
+// before a byte is written) and streamed twice through one scratch block —
+// once into the CRC, once out to w — instead of being materialised.
 func encodeField(w io.Writer, name string, v Value) error {
+	plen, err := payloadLen(v)
+	if err != nil {
+		return err
+	}
+	sp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(sp)
+	var sum crcSum
+	writePayload(&payloadWriter{w: &sum, b: *sp}, v)
 	if err := writeString(w, name); err != nil {
 		return err
 	}
 	if err := writeU8(w, v.Tag); err != nil {
 		return err
 	}
-	payload := getBuf()
-	defer putBuf(payload)
+	if err := writeU32(w, uint32(plen)); err != nil {
+		return err
+	}
+	if err := writeU32(w, uint32(sum)); err != nil {
+		return err
+	}
+	pw := &payloadWriter{w: w, b: *sp}
+	writePayload(pw, v)
+	return pw.err
+}
+
+// payloadLen reports the encoded payload size of v, refusing what the
+// container cannot frame: an unknown tag, a ragged matrix, too many empty
+// rows, or a payload past the u32 length field.
+func payloadLen(v Value) (uint64, error) {
+	var n uint64
 	switch v.Tag {
-	case TFloat64:
-		if err := writeF64s(payload, []float64{v.F}); err != nil {
-			return err
-		}
-	case TInt64:
-		if err := writeI64s(payload, []int64{v.I}); err != nil {
-			return err
-		}
+	case TFloat64, TInt64:
+		n = 8
 	case TFloat64s:
-		if err := writeU64(payload, uint64(len(v.Fs))); err != nil {
-			return err
-		}
-		if err := writeF64s(payload, v.Fs); err != nil {
-			return err
-		}
+		n = 8 + 8*uint64(len(v.Fs))
 	case TInt64s:
-		if err := writeU64(payload, uint64(len(v.Is))); err != nil {
-			return err
-		}
-		if err := writeI64s(payload, v.Is); err != nil {
-			return err
-		}
+		n = 8 + 8*uint64(len(v.Is))
 	case TFloat64_2:
 		if v.Cols == 0 && v.Rows > maxEmptyRows {
 			// The decoder bounds zero-column row counts (the payload
 			// cannot), so refusing here keeps every encoder-produced
 			// container decodable.
-			return fmt.Errorf("%d empty rows exceed the container's zero-column row limit (%d)", v.Rows, maxEmptyRows)
+			return 0, fmt.Errorf("%d empty rows exceed the container's zero-column row limit (%d)", v.Rows, maxEmptyRows)
 		}
-		if err := writeU64(payload, uint64(v.Rows)); err != nil {
-			return err
-		}
-		if err := writeU64(payload, uint64(v.Cols)); err != nil {
-			return err
-		}
-		for r := 0; r < v.Rows; r++ {
-			row := v.F2[r]
-			if len(row) != v.Cols {
-				return fmt.Errorf("ragged matrix: row %d has %d cols, want %d", r, len(row), v.Cols)
-			}
-			if err := writeF64s(payload, row); err != nil {
-				return err
-			}
-		}
+		n = 16 + 8*uint64(v.Rows)*uint64(v.Cols)
 	case TBytes, TGob:
-		if err := writeU64(payload, uint64(len(v.B))); err != nil {
-			return err
-		}
-		if _, err := payload.Write(v.B); err != nil {
-			return err
-		}
+		n = 8 + uint64(len(v.B))
 	default:
-		return fmt.Errorf("unknown tag %d", v.Tag)
+		return 0, fmt.Errorf("unknown tag %d", v.Tag)
 	}
-	if uint64(payload.Len()) > math.MaxUint32 {
+	if n > math.MaxUint32 {
 		// The container frames each payload with a u32 length; silently
 		// truncating the cast would write a corrupt field.
-		return fmt.Errorf("payload is %d bytes, exceeding the container's 4 GiB field limit", payload.Len())
+		return 0, fmt.Errorf("payload is %d bytes, exceeding the container's 4 GiB field limit", n)
 	}
-	if err := writeU32(w, uint32(payload.Len())); err != nil {
-		return err
+	if v.Tag == TFloat64_2 {
+		for r, row := range v.F2[:v.Rows] {
+			if len(row) != v.Cols {
+				return 0, fmt.Errorf("ragged matrix: row %d has %d cols, want %d", r, len(row), v.Cols)
+			}
+		}
 	}
-	if err := writeU32(w, crc32.ChecksumIEEE(payload.Bytes())); err != nil {
-		return err
+	return n, nil
+}
+
+// writePayload streams v's payload (whose shape payloadLen has checked).
+func writePayload(p *payloadWriter, v Value) {
+	switch v.Tag {
+	case TFloat64:
+		p.u64(math.Float64bits(v.F))
+	case TInt64:
+		p.u64(uint64(v.I))
+	case TFloat64s:
+		p.u64(uint64(len(v.Fs)))
+		p.f64s(v.Fs)
+	case TInt64s:
+		p.u64(uint64(len(v.Is)))
+		p.i64s(v.Is)
+	case TFloat64_2:
+		p.u64(uint64(v.Rows))
+		p.u64(uint64(v.Cols))
+		for _, row := range v.F2[:v.Rows] {
+			p.f64s(row)
+		}
+	case TBytes, TGob:
+		p.u64(uint64(len(v.B)))
+		p.bytes(v.B)
 	}
-	_, err := w.Write(payload.Bytes())
-	return err
+	p.flush()
 }
 
 type crcReader struct {

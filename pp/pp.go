@@ -143,8 +143,8 @@
 // distributed, hybrid). Returning an AdaptTarget with Mode set from a
 // policy (or passing it to RequestAdapt) migrates the running program to
 // another deployment at a safe point WITHOUT leaving Run: the engine takes
-// a canonical snapshot into an internal in-memory store, tears down the
-// current executor, builds the target-mode executor, and replays to the
+// a canonical snapshot, keeps a private copy of it in memory, tears down
+// the current executor, builds the target-mode executor, and replays to the
 // same safe point — the paper's adaptation-by-restart (Figures 6 and 7)
 // collapsed into one process:
 //
