@@ -244,7 +244,7 @@ type payloadWriter struct {
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 func (p *payloadWriter) flush() {
-	if p.err == nil && p.n > 0 {
+	if p.n > 0 && p.err == nil {
 		_, p.err = p.w.Write(p.b[:p.n])
 	}
 	p.n = 0
@@ -314,22 +314,31 @@ func (p *payloadWriter) bytes(b []byte) {
 	}
 }
 
-// crcSum is an io.Writer that only accumulates the CRC-32 of what it sees.
-type crcSum uint32
-
-func (c *crcSum) Write(p []byte) (int, error) {
-	*c = crcSum(crc32.Update(uint32(*c), crc32.IEEETable, p))
-	return len(p), nil
-}
-
 // Encode writes the snapshot to w in the container format. Snapshots large
 // enough to make encoding a bottleneck are encoded with a worker pool (see
-// EncodeParallel); the bytes produced are identical either way.
+// EncodeParallel); the bytes produced are identical either way. A
+// bytes.Buffer destination is grown to the container's size first, so an
+// in-memory save allocates once instead of doubling with every streamed
+// block.
 func (s *Snapshot) Encode(w io.Writer) error {
+	if b, ok := w.(*bytes.Buffer); ok {
+		b.Grow(s.encodedLen())
+	}
 	if s.DataBytes() >= parallelEncodeThreshold && len(s.Fields) > 1 {
 		return s.EncodeParallel(w, 0)
 	}
 	return s.encodeSequential(w)
+}
+
+// encodedLen reports the size of the container Encode writes. A field the
+// container refuses counts as empty: Encode fails on it anyway.
+func (s *Snapshot) encodedLen() int {
+	n := len(Magic) + 4 + len(s.App) + 4 + len(s.Mode) + 8 + 4 + 4 // header, field count, trailer
+	for name, v := range s.Fields {
+		plen, _ := payloadLen(v)
+		n += 4 + len(name) + 1 + 4 + 4 + int(plen) // name, tag, length, CRC, payload
+	}
+	return n
 }
 
 func (s *Snapshot) encodeSequential(w io.Writer) error {
@@ -386,8 +395,8 @@ func encodeField(w io.Writer, name string, v Value) error {
 	}
 	sp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(sp)
-	var sum crcSum
-	writePayload(&payloadWriter{w: &sum, b: *sp}, v)
+	sum := crc32.NewIEEE()
+	writePayload(&payloadWriter{w: sum, b: *sp}, v)
 	if err := writeString(w, name); err != nil {
 		return err
 	}
@@ -397,7 +406,7 @@ func encodeField(w io.Writer, name string, v Value) error {
 	if err := writeU32(w, uint32(plen)); err != nil {
 		return err
 	}
-	if err := writeU32(w, uint32(sum)); err != nil {
+	if err := writeU32(w, sum.Sum32()); err != nil {
 		return err
 	}
 	pw := &payloadWriter{w: w, b: *sp}

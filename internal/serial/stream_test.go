@@ -136,6 +136,9 @@ func TestEncodeMatchesReferenceFraming(t *testing.T) {
 					s.Fields[k] = v
 				}
 				want := refContainer(s)
+				if n := s.encodedLen(); n != len(want) {
+					t.Fatalf("encodedLen = %d; the container is %d bytes", n, len(want))
+				}
 				var got bytes.Buffer
 				if err := s.Encode(&got); err != nil {
 					t.Fatal(err)
@@ -171,6 +174,27 @@ func TestEncodeMatrixAllocatesNoPayloadBuffer(t *testing.T) {
 	t.Logf("encoding a 1000x1000 matrix allocated %d bytes", got)
 	if got >= 1<<20 {
 		t.Fatalf("encoding a 1000x1000 matrix allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// An in-memory save grows its buffer once, to the container's size, rather
+// than doubling with every streamed block.
+func TestEncodeIntoBufferAllocatesContainerOnce(t *testing.T) {
+	s := NewSnapshot("app", "canonical", 1)
+	s.Fields["G"] = Float64Matrix(matrix(200, 200))
+	s.Fields["it"] = Int64(3)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	var buf bytes.Buffer
+	err := s.Encode(&buf)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("encoding a %d-byte container into a bytes.Buffer allocated %d bytes", buf.Len(), got)
+	if got > uint64(buf.Len())+64<<10 {
+		t.Fatalf("encoding a %d-byte container into a bytes.Buffer allocated %d bytes, want one container-sized buffer", buf.Len(), got)
 	}
 }
 
